@@ -14,7 +14,11 @@ detectable SfM features in the image. The physics it models, in order:
 5. **Detection dropout** — Bernoulli per feature with probability shaped
    by feature strength, distance and motion blur.
 
-All per-photo work is vectorised over the whole feature world.
+Range, incidence and occlusion do not depend on the camera's yaw, and a
+guided sweep shoots all its photos from one spot, so that work is done
+once per capture position (:class:`_Station`). Each photo then projects
+only the station's features and raycasts only features whose occlusion
+the station has not yet resolved.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 
 from ..config import CameraConfig, SfmConfig
 from ..errors import CaptureError
-from ..geometry import Vec2
+from ..geometry import SegmentSoup, Vec2
 from ..simkit.rng import RngStream
 from ..venue.features import FeatureWorld
+from ..venue.surfaces import SurfaceKind
 from .blur import detection_factor, render_patch
 from .intrinsics import ExifMetadata, Intrinsics
 from .photo import Photo
@@ -40,6 +45,71 @@ MAX_OBSERVATIONS_PER_PHOTO = 2400
 
 #: Std-dev of keypoint localisation noise, in pixels.
 PIXEL_NOISE_STD = 1.2
+
+
+class _Station:
+    """Capture work at one (x, y, height) position that does not depend on yaw.
+
+    Holds the range and incidence cull over the whole feature world, the
+    offsets ``dx``, ``dy``, ``dist`` and ``down`` of the features that
+    survive it (in ascending world index), and an occlusion memo filled
+    lazily, so each feature is raycast at most once per position. Every
+    value is the one a whole-world pass computes for that feature, so a
+    photo does not depend on what the station has already seen.
+    """
+
+    def __init__(
+        self,
+        world: FeatureWorld,
+        sfm: SfmConfig,
+        cos_max_incidence: float,
+        soup: SegmentSoup,
+        pose: CameraPose,
+    ):
+        self._soup = soup
+        self._origin = pose.position
+        self._height = pose.height_m
+        pos = world.positions
+        dx = pos[:, 0] - pose.position.x
+        dy = pos[:, 1] - pose.position.y
+        dist = np.hypot(dx, dy)
+        in_range = np.nonzero((dist >= sfm.min_feature_range_m) & (dist <= sfm.max_feature_range_m))[0]
+        dx, dy, dist = dx[in_range], dy[in_range], dist[in_range]
+
+        # Incidence-angle culling on the floor plane.
+        view_x = dx / np.maximum(dist, 1e-9)
+        view_y = dy / np.maximum(dist, 1e-9)
+        normals = world.normals[in_range]
+        cos_inc = np.abs(view_x * normals[:, 0] + view_y * normals[:, 1])
+        keep = np.nonzero(cos_inc >= cos_max_incidence)[0]
+
+        self.index = in_range[keep]
+        self.dx = dx[keep]
+        self.dy = dy[keep]
+        self.dist = dist[keep]
+        self.down = pose.height_m - pos[self.index, 2]
+        self.strengths = world.strengths[self.index]
+        self._targets = pos[self.index]
+        self._raycast = np.zeros(self.index.size, dtype=bool)
+        self._clear = np.zeros(self.index.size, dtype=bool)
+
+    def matches(self, pose: CameraPose) -> bool:
+        return pose.position == self._origin and pose.height_m == self._height
+
+    def visible(self, local: np.ndarray) -> np.ndarray:
+        """Mask over station-local indices ``local``: not occluded."""
+        fresh = local[~self._raycast[local]]
+        if fresh.size:
+            targets = self._targets[fresh]
+            self._clear[fresh] = self._soup.visible(
+                self._origin,
+                targets[:, :2],
+                target_margin=5e-3,
+                origin_z=self._height,
+                target_z=targets[:, 2],
+            )
+            self._raycast[fresh] = True
+        return self._clear[local]
 
 
 class CaptureSimulator:
@@ -61,10 +131,9 @@ class CaptureSimulator:
         self._photo_ids = itertools.count(1)
         self._soup = world.venue.opaque_soup
         self._cos_max_incidence = math.cos(math.radians(sfm_config.max_incidence_deg))
+        # The station of the last capture position (see _station_for).
+        self._station: Optional[_Station] = None
         # Transparent (glass) panes for the backlight exposure model.
-        from ..geometry import SegmentSoup
-        from ..venue.surfaces import SurfaceKind
-
         glass = [
             s
             for s in world.venue.surfaces
@@ -135,6 +204,14 @@ class CaptureSimulator:
 
     # -- internals ------------------------------------------------------------
 
+    def _station_for(self, pose: CameraPose) -> _Station:
+        """The station at ``pose``'s position, reusing the last one."""
+        if self._station is None or not self._station.matches(pose):
+            self._station = _Station(
+                self._world, self._sfm, self._cos_max_incidence, self._soup, pose
+            )
+        return self._station
+
     def _visible_features(
         self,
         pose: CameraPose,
@@ -144,36 +221,20 @@ class CaptureSimulator:
         exposure_compensated: bool = False,
     ):
         """Indices of detected features plus their noisy pixel coordinates."""
-        pos = self._world.positions
-        cx, cy, ch = pose.position.x, pose.position.y, pose.height_m
-        dx = pos[:, 0] - cx
-        dy = pos[:, 1] - cy
-        dist = np.hypot(dx, dy)
-
-        mask = (dist >= self._sfm.min_feature_range_m) & (dist <= self._sfm.max_feature_range_m)
-        if not mask.any():
-            return np.zeros(0, dtype=int), np.zeros((0, 2))
+        station = self._station_for(pose)
 
         # Pin-hole projection (matches geometry.transforms.PinholeProjection).
         cos_y, sin_y = math.cos(pose.yaw_rad), math.sin(pose.yaw_rad)
-        z_fwd = dx * cos_y + dy * sin_y
-        x_right = -dx * sin_y + dy * cos_y
-        down = ch - pos[:, 2]
-        mask &= z_fwd > 0.15
+        z_fwd = station.dx * cos_y + station.dy * sin_y
+        x_right = -station.dx * sin_y + station.dy * cos_y
         with np.errstate(divide="ignore", invalid="ignore"):
             u = intrinsics.image_width_px / 2.0 + intrinsics.focal_length_px * x_right / z_fwd
-            v = intrinsics.image_height_px / 2.0 + intrinsics.focal_length_px * down / z_fwd
+            v = intrinsics.image_height_px / 2.0 + intrinsics.focal_length_px * station.down / z_fwd
+        mask = z_fwd > 0.15
         mask &= (u >= 0) & (u < intrinsics.image_width_px)
         mask &= (v >= 0) & (v < intrinsics.image_height_px)
 
-        # Incidence-angle culling on the floor plane.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            view_x = dx / np.maximum(dist, 1e-9)
-            view_y = dy / np.maximum(dist, 1e-9)
-        normals = self._world.normals
-        cos_inc = np.abs(view_x * normals[:, 0] + view_y * normals[:, 1])
-        mask &= cos_inc >= self._min_cos_incidence()
-
+        # Station-local indices from here on; ascending, like world indices.
         candidates = np.nonzero(mask)[0]
         if candidates.size == 0:
             return np.zeros(0, dtype=int), np.zeros((0, 2))
@@ -182,8 +243,8 @@ class CaptureSimulator:
         exposure = 1.0 if exposure_compensated else self._exposure_factor(pose)
         p = (
             self._sfm.base_detection_prob
-            * self._world.strengths[candidates]
-            * np.exp(-self._sfm.range_falloff * np.maximum(dist[candidates] - 1.0, 0.0))
+            * station.strengths[candidates]
+            * np.exp(-self._sfm.range_falloff * np.maximum(station.dist[candidates] - 1.0, 0.0))
             * detection_factor(blur)
             * exposure
         )
@@ -191,24 +252,14 @@ class CaptureSimulator:
         if detected.size == 0:
             return np.zeros(0, dtype=int), np.zeros((0, 2))
 
-        visible_mask = self._soup.visible(
-            Vec2(cx, cy),
-            pos[detected, :2],
-            target_margin=5e-3,
-            origin_z=ch,
-            target_z=pos[detected, 2],
-        )
-        visible = detected[visible_mask]
+        visible = detected[station.visible(detected)]
         if visible.size > MAX_OBSERVATIONS_PER_PHOTO:
             keep = photo_rng.child("cap").permutation(visible.size)[:MAX_OBSERVATIONS_PER_PHOTO]
             visible = visible[np.sort(keep)]
 
         noise = photo_rng.child("pixel").normal_array((visible.size, 2), 0.0, PIXEL_NOISE_STD)
         pixels = np.stack([u[visible], v[visible]], axis=1) + noise
-        return visible, pixels
-
-    def _min_cos_incidence(self) -> float:
-        return math.cos(math.radians(self._sfm.max_incidence_deg))
+        return station.index[visible], pixels
 
     def _exposure_factor(self, pose: CameraPose) -> float:
         """Backlight penalty: glass-dominated frames lose contrast.
@@ -223,21 +274,19 @@ class CaptureSimulator:
             return 1.0
         n_rays = 13
         half = self._camera.hfov_rad / 2.0
-        glassy = 0
-        for i in range(n_rays):
-            bearing = pose.yaw_rad - half + (2.0 * half) * i / (n_rays - 1)
-            direction = Vec2.from_angle(bearing)
-            glass_hit = self._glass_soup.first_hit(
-                pose.position, direction, self._sfm.max_feature_range_m
-            )
-            if glass_hit is None:
-                continue
-            opaque_hit = self._tall_soup.first_hit(
-                pose.position, direction, self._sfm.max_feature_range_m
-            )
-            if opaque_hit is None or glass_hit[0] < opaque_hit[0]:
-                glassy += 1
-        fraction = glassy / n_rays
+        directions = np.array(
+            [
+                Vec2.from_angle(pose.yaw_rad - half + (2.0 * half) * i / (n_rays - 1))
+                .normalized()
+                .as_tuple()
+                for i in range(n_rays)
+            ]
+        )
+        reach = self._sfm.max_feature_range_m
+        glass = self._glass_soup.first_hits(pose.position, directions, reach)
+        opaque = self._tall_soup.first_hits(pose.position, directions, reach)
+        # A ray is glassy when it meets glass before any tall opaque surface.
+        fraction = int(np.count_nonzero(glass < opaque)) / n_rays
         return 1.0 - strength * fraction ** 1.5
 
     def sweep(
@@ -252,7 +301,10 @@ class CaptureSimulator:
         height_m: float = 1.5,
         start_deg: float = 0.0,
     ) -> Iterator[Photo]:
-        """The guided 360° capture: one photo every ``step_deg`` degrees."""
+        """The guided 360° capture: one photo every ``step_deg`` degrees.
+
+        All photos share one position, so they share one station.
+        """
         from .pose import sweep_poses
 
         for i, pose in enumerate(sweep_poses(center, step_deg, height_m, start_deg)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ..errors import CaptureError
 from ..geometry import PinholeProjection, Vec2, Vec3, angle_difference
 from .intrinsics import Intrinsics
 
@@ -83,7 +84,7 @@ def sweep_poses(
     the phone automatically captures an image" (Sec. III).
     """
     if step_deg <= 0:
-        raise ValueError("step_deg must be positive")
+        raise CaptureError(f"step_deg must be positive, got {step_deg}")
     n = int(round(360.0 / step_deg))
     return [
         CameraPose(center, _wrap_angle(math.radians(start_deg + i * step_deg)), height_m)

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import GeometryError
 from .segments import Segment, iter_polygon_edges
 from .vec import Vec2
@@ -113,6 +115,38 @@ class Polygon:
             j = i
         return inside
 
+    def contains_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`contains` over arrays of point coordinates.
+
+        Applies the same bounding-box rule, on-edge tolerance and even-odd
+        crossing rule with the same float operations, so each element
+        equals ``contains(Vec2(x, y))`` exactly. Only points inside the
+        bounding box are tested against the edges.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape:
+            raise GeometryError("xs and ys must have the same shape")
+        box = self._bbox
+        result = (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+        idx = np.nonzero(result)
+        px, py = xs[idx], ys[idx]
+        on_edge = np.zeros(px.shape, dtype=bool)
+        inside = np.zeros(px.shape, dtype=bool)
+        verts = self._vertices
+        j = len(verts) - 1
+        # A horizontal edge divides by zero, but it never straddles.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(len(verts)):
+                vi, vj = verts[i], verts[j]
+                on_edge |= _on_segment_mask(vi, vj, px, py)
+                straddles = (vi.y > py) != (vj.y > py)
+                x_cross = vi.x + (py - vi.y) * (vj.x - vi.x) / (vj.y - vi.y)
+                inside ^= straddles & (px < x_cross)
+                j = i
+        result[idx] = on_edge | inside
+        return result
+
     def centroid(self) -> Vec2:
         """Area centroid of the polygon."""
         verts = self._vertices
@@ -158,6 +192,22 @@ def _on_segment(a: Vec2, b: Vec2, p: Vec2, tol: float = 1e-9) -> bool:
         return False
     dot = (p - a).dot(b - a)
     return -tol <= dot <= (b - a).norm_sq() + tol
+
+
+def _on_segment_mask(
+    a: Vec2, b: Vec2, px: np.ndarray, py: np.ndarray, tol: float = 1e-9
+) -> np.ndarray:
+    """:func:`_on_segment` over arrays of points, with the same float ops."""
+    d = b - a
+    rel_x = px - a.x
+    rel_y = py - a.y
+    cross = d.x * rel_y - d.y * rel_x
+    dot = rel_x * d.x + rel_y * d.y
+    return (
+        (np.abs(cross) <= tol * max(1.0, a.distance_to(b)))
+        & (dot >= -tol)
+        & (dot <= d.norm_sq() + tol)
+    )
 
 
 def convex_hull(points: Sequence[Vec2]) -> List[Vec2]:

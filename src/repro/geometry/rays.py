@@ -119,33 +119,28 @@ class SegmentSoup:
             hits &= in_extent
         return ~hits.any(axis=1)
 
-    def first_hit(self, origin: Vec2, direction: Vec2, max_range: float) -> Optional[Tuple[float, int]]:
-        """Closest segment hit by the ray, as (distance, segment index).
+    def first_hits(self, origin: Vec2, directions: np.ndarray, max_range: float) -> np.ndarray:
+        """Distance to the closest segment along each ray from ``origin``.
 
-        Returns None if nothing is hit within ``max_range``.
+        ``directions`` is a (K, 2) array of unit vectors. Returns a (K,)
+        array: the distance along each ray to its first hit within
+        ``max_range``, or ``inf`` where the ray hits nothing.
         """
-        d = direction.normalized()
-        rx, ry = d.x, d.y
-        denom = rx * self._dy - ry * self._dx
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != 2:
+            raise GeometryError("directions must be a (K, 2) array")
+        if self._n == 0:
+            return np.full(directions.shape[0], np.inf)
+        rx = directions[:, 0:1]  # (K, 1)
+        ry = directions[:, 1:2]
+        denom = rx * self._dy - ry * self._dx  # (K, M)
         qpx = self._ax - origin.x
         qpy = self._ay - origin.y
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (qpx * self._dy - qpy * self._dx) / denom
             u = (qpx * ry - qpy * rx) / denom
         valid = (np.abs(denom) > _EPS) & (t > _EPS) & (t <= max_range) & (u >= -_EPS) & (u <= 1.0 + _EPS)
-        if not valid.any():
-            return None
-        t_valid = np.where(valid, t, np.inf)
-        idx = int(np.argmin(t_valid))
-        return float(t_valid[idx]), idx
-
-    def segments_within(self, center: Vec2, radius: float) -> List[int]:
-        """Indices of segments whose closest point is within ``radius``."""
-        return [
-            i
-            for i, seg in enumerate(self._segments)
-            if seg.distance_to_point(center) <= radius
-        ]
+        return np.where(valid, t, np.inf).min(axis=1)
 
 
 def ray_march_cells(

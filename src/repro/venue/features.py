@@ -183,25 +183,28 @@ def _mirror_reflections(
     ]
     out: List[WorldFeature] = []
     fid = REFLECTION_FEATURE_BASE
+    fx = np.array([f.position.x for f in features], dtype=float)
+    fy = np.array([f.position.y for f in features], dtype=float)
+    is_source = ~np.array([f.is_reflection for f in features], dtype=bool)
     for pane in sorted(reflective, key=lambda s: s.surface_id):
         pane_rng = rng.child(f"reflection-{pane.surface_id}")
         anchor = pane.segment.a
         normal = pane.segment.normal
-        for f in features:
-            if f.is_reflection:
-                continue
-            rel = Vec2(f.position.x - anchor.x, f.position.y - anchor.y)
-            dist = rel.dot(normal)
-            if abs(dist) > max_source_distance:
-                continue
-            # Only mirror features whose mirror image lies behind the pane
-            # extent (projection onto the segment must fall inside it).
-            t = pane.segment.project_parameter(Vec2(f.position.x, f.position.y))
-            if not 0.0 <= t <= 1.0:
-                continue
+        d = pane.segment.b - anchor
+        # Signed distance to the pane's line and projection parameter along
+        # it, as Vec2.dot and Segment.project_parameter compute them.
+        rel_x = fx - anchor.x
+        rel_y = fy - anchor.y
+        dist = rel_x * normal.x + rel_y * normal.y
+        t = (rel_x * d.x + rel_y * d.y) / d.norm_sq()
+        # Only mirror features whose mirror image lies behind the pane
+        # extent (projection onto the segment must fall inside it).
+        eligible = is_source & (np.abs(dist) <= max_source_distance) & (t >= 0.0) & (t <= 1.0)
+        for i in np.nonzero(eligible)[0]:
             if not pane_rng.chance(sample_rate):
                 continue
-            mirrored = Vec2(f.position.x, f.position.y) - normal * (2.0 * dist)
+            f = features[i]
+            mirrored = Vec2(f.position.x, f.position.y) - normal * (2.0 * float(dist[i]))
             out.append(
                 WorldFeature(
                     feature_id=fid,

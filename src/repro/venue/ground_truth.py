@@ -10,11 +10,9 @@ geometry onto the same grid spec the model maps use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from ..geometry import BoundingBox, Vec2
 from ..mapping.grid import Grid2D, GridSpec
 from .model import Venue
 from .surfaces import SurfaceKind
@@ -66,16 +64,17 @@ def build_ground_truth(
             if cell is not None:
                 obstacle[cell] = True
 
-    # Solid footprints: furniture and inner-wall bodies.
-    region = np.zeros(spec.shape, dtype=bool)
+    # Cells whose centre lies inside the outer polygon, and the solid
+    # footprints (furniture and inner-wall bodies) among them. The centre
+    # mesh repeats GridSpec.center_of's arithmetic, so each cell's test
+    # sees the same coordinates as a per-cell Polygon.contains would.
+    xs = spec.origin_x + (np.arange(spec.n_cols) + 0.5) * spec.cell_size_m
+    ys = spec.origin_y + (np.arange(spec.n_rows) + 0.5) * spec.cell_size_m
+    cx, cy = np.meshgrid(xs, ys)
+    region = venue.outer.contains_points(cx, cy)
     footprints = list(venue.furniture_footprints) + list(venue.inner_wall_footprints)
-    for row in range(spec.n_rows):
-        for col in range(spec.n_cols):
-            center = spec.center_of(row, col)
-            if venue.outer.contains(center):
-                region[row, col] = True
-                if any(fp.contains(center) for fp in footprints):
-                    obstacle[row, col] = True
+    for fp in footprints:
+        obstacle |= region & fp.contains_points(cx, cy)
 
     # Wall cells on the boundary count as part of the venue region.
     region |= obstacle & _boundary_band(venue, spec)

@@ -62,8 +62,9 @@ class TestCameraPose:
         assert diffs == {8.0}
 
     def test_sweep_poses_bad_step(self):
-        with pytest.raises(ValueError):
-            sweep_poses(Vec2(0, 0), 0.0)
+        for step in (0.0, -8.0):
+            with pytest.raises(CaptureError):
+                sweep_poses(Vec2(0, 0), step)
 
 
 class TestCaptureSimulator:

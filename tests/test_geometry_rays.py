@@ -72,25 +72,40 @@ class TestVisibility:
 
 
 class TestFirstHit:
+    """``first_hits`` with one-row batches, plus one multi-ray batch."""
+
+    @staticmethod
+    def one_ray(soup, direction, max_range):
+        hits = soup.first_hits(Vec2(0, 0), np.array([direction.normalized().as_tuple()]), max_range)
+        assert hits.shape == (1,)
+        return hits[0]
+
     def test_hits_closest(self):
         soup = soup_of(((1, -1), (1, 1)), ((2, -1), (2, 1)))
-        hit = soup.first_hit(Vec2(0, 0), Vec2(1, 0), 10.0)
-        assert hit is not None
-        dist, idx = hit
-        assert dist == pytest.approx(1.0)
-        assert idx == 0
+        assert self.one_ray(soup, Vec2(1, 0), 10.0) == pytest.approx(1.0)
 
-    def test_miss_returns_none(self):
+    def test_miss_is_inf(self):
         soup = soup_of(((1, 1), (2, 1)))
-        assert soup.first_hit(Vec2(0, 0), Vec2(1, 0), 10.0) is None
+        assert self.one_ray(soup, Vec2(1, 0), 10.0) == np.inf
 
     def test_range_limit(self):
         soup = soup_of(((5, -1), (5, 1)))
-        assert soup.first_hit(Vec2(0, 0), Vec2(1, 0), 2.0) is None
+        assert self.one_ray(soup, Vec2(1, 0), 2.0) == np.inf
 
-    def test_segments_within(self):
-        soup = soup_of(((0, 1), (1, 1)), ((10, 10), (11, 10)))
-        assert soup.segments_within(Vec2(0, 0), 2.0) == [0]
+    def test_empty_soup_misses(self):
+        assert self.one_ray(SegmentSoup([]), Vec2(1, 0), 10.0) == np.inf
+
+    def test_one_distance_per_ray(self):
+        soup = soup_of(((1, -1), (1, 1)), ((-1, -3), (1, -3)))
+        directions = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [-1.0, 0.0]])
+        hits = soup.first_hits(Vec2(0, 0), directions, 10.0)
+        assert hits.tolist() == [1.0, 3.0, np.inf, np.inf]
+
+    def test_bad_directions_shape(self):
+        from repro.errors import GeometryError
+
+        with pytest.raises(GeometryError):
+            soup_of(((1, -1), (1, 1))).first_hits(Vec2(0, 0), np.zeros(2), 10.0)
 
 
 class TestRayMarchCells:

@@ -12,7 +12,7 @@ class TestGroundTruth:
         gt = ground_truth
         # Traversable is region minus obstacles.
         assert not (gt.traversable_mask & gt.obstacle_mask).any()
-        assert (gt.traversable_mask | gt.obstacle_mask)[gt.region_mask].all() or True
+        assert (gt.traversable_mask | gt.obstacle_mask)[gt.region_mask].all()
         assert gt.region_cells >= gt.traversable_mask.sum()
 
     def test_region_area_close_to_floor_area(self, bench, ground_truth):

@@ -22,11 +22,11 @@ class TestPathPlanner:
         assert path[0].distance_to(Vec2(2.4, 1.2)) < 0.5
         assert path[-1].distance_to(Vec2(10.5, 3.7)) < 0.5
 
-    def test_path_avoids_shelves(self, planner, library):
+    def test_path_avoids_shelves(self, planner, bench):
         path = planner.plan(Vec2(10.5, 1.2), Vec2(10.5, 6.4))
         assert path is not None
         for p in path:
-            assert library.is_traversable(p) or True  # cells are centre-snapped
+            assert bench.ground_truth.traversable_mask[bench.spec.cell_of(p)]
         # The straight line crosses shelf row 0; the path must be longer.
         assert PathPlanner.path_length(path) > Vec2(10.5, 1.2).distance_to(Vec2(10.5, 6.4))
 

@@ -72,9 +72,9 @@ class TestOcclusionProperties:
         perp = direction.perpendicular()
         wall = Segment(midpoint + perp * 2.0, midpoint - perp * 2.0)
         soup = SegmentSoup([wall])
-        hit = soup.first_hit(Vec2(0, 0), direction, 20.0)
-        assert hit is not None
-        assert hit[0] == pytest.approx(distance, abs=1e-6)
+        hits = soup.first_hits(Vec2(0, 0), np.array([direction.normalized().as_tuple()]), 20.0)
+        assert hits.shape == (1,)
+        assert hits[0] == pytest.approx(distance, abs=1e-6)
 
 
 class TestGridProperties:
