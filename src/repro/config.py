@@ -85,6 +85,8 @@ class SfmConfig:
             raise ConfigError("base_detection_prob must be in (0, 1]")
         if self.min_feature_range_m >= self.max_feature_range_m:
             raise ConfigError("min_feature_range_m must be < max_feature_range_m")
+        if not 0.0 < self.visibility_range_m < math.inf:  # NaN fails too
+            raise ConfigError("visibility_range_m must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -329,10 +331,6 @@ class ProtocolConfig:
     """
 
     lease_duration_s: float = 600.0
-    #: Cadence for explicit :meth:`BackendServer.reap_expired` sweeps;
-    #: the event-driven reaper fires exactly at each lease expiry, so this
-    #: only paces external/manual sweeps.
-    reaper_interval_s: float = 60.0
     rto_initial_s: float = 4.0
     rto_backoff: float = 2.0
     rto_max_s: float = 60.0
@@ -370,8 +368,6 @@ class ProtocolConfig:
     def validate(self) -> None:
         if self.lease_duration_s <= 0:
             raise ConfigError("lease_duration_s must be positive")
-        if self.reaper_interval_s <= 0:
-            raise ConfigError("reaper_interval_s must be positive")
         if self.rto_initial_s <= 0 or self.rto_max_s < self.rto_initial_s:
             raise ConfigError("need 0 < rto_initial_s <= rto_max_s")
         if self.rto_backoff < 1.0:

@@ -7,12 +7,14 @@ scale: "a large number of photos leads to long processing time" (Sec.
 II-A) — each guided task is slower than the last because the model only
 grows. This engine maintains the same three artefacts by delta:
 
-* **Obstacles** — the spec-anchored :class:`OctoMap` (fixed leaf lattice,
-  one leaf column == one map cell) receives only the *diff* of the
-  filtered cloud versus the previously applied cloud: new triangulated
-  points are inserted, points dropped by the statistical outlier filter
-  are removed, and only the dirtied vertical columns are re-merged into
-  the obstacles grid.
+* **Obstacles** — one integer grid holds each map cell's merged column
+  count: the number of applied points whose leaf on the spec-anchored
+  :class:`OctoMap` lattice (one leaf column == one map cell) lies in the
+  cell and inside the vertical band. Only the *diff* of the filtered
+  cloud versus the previously applied cloud moves those counts — new
+  triangulated points add one, points dropped by the statistical outlier
+  filter subtract one — and only the touched cells are re-thresholded
+  into the obstacles grid.
 * **Visibility** — per-camera FOV wedges are cached, keyed by the camera
   pose and its per-sector information-clip ranges. A cached wedge is
   invalidated only when (a) an obstacle cell within the camera's reach
@@ -29,12 +31,12 @@ invariant, enforced by the differential oracle in
 ``tests/test_incremental_equivalence.py``. The arithmetic that makes it
 hold: visibility counts are small integers stored in floats (order-free
 addition/subtraction of 1.0 is exact), obstacle counts are integer sums,
-and both paths share one octree lattice and one ray-marching routine.
+and both paths share one leaf-descent rule (:meth:`OctoMap.leaf_center`)
+and one ray-marching routine.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -117,6 +119,8 @@ class IncrementalMapEngine:
     ):
         if obstacle_threshold <= 0:
             raise MappingError("obstacle threshold must be positive")
+        if not 0.0 < max_range_m < math.inf:  # NaN fails too
+            raise MappingError("max range must be finite and positive")
         obs = telemetry if telemetry is not None else NULL_TELEMETRY
         metrics = obs.metrics
         # Delta-size distributions + FOV-wedge cache effectiveness
@@ -139,31 +143,9 @@ class IncrementalMapEngine:
             if site_mask.shape != spec.shape:
                 raise MappingError("site mask shape does not match grid spec")
         self._site_mask = site_mask
+        # Used only for its leaf lattice: it stores no points.
+        self._lattice = OctoMap.for_spec(spec)
         self._reset()
-
-    def __deepcopy__(self, memo):
-        """Deep copy preserving the flat/2-D grid aliasing.
-
-        ``_obst_flat``/``_vis_flat``/``_covered_flat``/``_site_flat``
-        are ``ravel()`` views of their 2-D grids; numpy deep-copies each
-        array standalone, which would sever the aliasing and silently
-        split flat-indexed writes from 2-D reads after a snapshot
-        restore. The flats are re-derived from the copied grids instead.
-        """
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        derived = ("_obst_flat", "_vis_flat", "_covered_flat", "_site_flat")
-        for name, value in self.__dict__.items():
-            if name in derived:
-                continue
-            setattr(clone, name, copy.deepcopy(value, memo))
-        clone._obst_flat = clone._obst.ravel()
-        clone._vis_flat = clone._vis.ravel()
-        clone._covered_flat = clone._covered.ravel()
-        clone._site_flat = (
-            clone._site_mask.ravel() if clone._site_mask is not None else None
-        )
-        return clone
 
     # -- state access ------------------------------------------------------------
 
@@ -235,7 +217,7 @@ class IncrementalMapEngine:
             full_rebuild=full_rebuild,
         )
 
-    # -- obstacles: delta insertion + dirty-column re-merge ----------------------
+    # -- obstacles: per-cell column counts + dirty-cell re-threshold -------------
 
     def _diff_cloud(
         self, cloud: PointCloud
@@ -271,39 +253,33 @@ class IncrementalMapEngine:
         return added, removed
 
     def _apply_cloud_delta(self, added, removed) -> Set[Tuple[int, int]]:
-        """Insert/remove the diff in the octree; return dirtied map cells."""
-        dirty: Set[Tuple[int, int]] = set()
-        for fid, pos in removed:
+        """Move the column counts by the diff; return the touched map cells.
+
+        A point counts in the cell under its leaf centre, and only when
+        that centre lies inside the cube and the vertical band — the
+        placement :func:`~repro.mapping.obstacles.calculate_obstacles_map`
+        uses.
+        """
+        for fid, _pos in removed:
             del self._applied[fid]
-            leaf = self._octomap.remove_point(*pos)
-            self._mark_dirty(leaf, dirty)
-        for fid, pos in added:
-            self._applied[fid] = pos
-            leaf = self._octomap.insert_point(*pos)
-            self._mark_dirty(leaf, dirty)
+        self._applied.update(added)
+        dirty: Set[Tuple[int, int]] = set()
+        for step, delta in ((-1, removed), (1, added)):
+            for _fid, pos in delta:
+                leaf = self._lattice.leaf_center(*pos)
+                if leaf is None or not self._z_min <= leaf[2] <= self._z_max:
+                    continue  # outside the cube or the vertical band
+                cell = self._spec.cell_of(Vec2(leaf[0], leaf[1]))
+                if cell is not None:
+                    self._counts[cell] += step
+                    dirty.add(cell)
         return dirty
 
-    def _mark_dirty(self, leaf, dirty: Set[Tuple[int, int]]) -> None:
-        if leaf is None:
-            return  # outside the octree cube: contributes to no column
-        cx, cy, cz = leaf
-        if not self._z_min <= cz <= self._z_max:
-            return  # outside the vertical band: merged count unchanged
-        cell = self._spec.cell_of(Vec2(cx, cy))
-        if cell is not None:
-            dirty.add(cell)
-
     def _remerge_columns(self, dirty: Set[Tuple[int, int]]) -> List[Tuple[int, int]]:
-        """Re-merge only the dirtied columns; return occupancy-flipped cells."""
-        spec = self._spec
-        cell = spec.cell_size_m
+        """Re-threshold only the dirtied cells; return occupancy-flipped cells."""
         flipped: List[Tuple[int, int]] = []
         for (row, col) in dirty:
-            x_lo = spec.origin_x + col * cell
-            y_lo = spec.origin_y + row * cell
-            count = self._octomap.column_count(
-                x_lo, x_lo + cell, y_lo, y_lo + cell, self._z_min, self._z_max
-            )
+            count = int(self._counts[row, col])
             new_value = float(count) if count >= self._threshold else 0.0
             old_value = self._obst[row, col]
             if (new_value > 0.0) != (old_value > 0.0):
@@ -431,7 +407,7 @@ class IncrementalMapEngine:
     def _admit_camera(self, camera, key, ids_sorted, xy_sorted) -> None:
         ranges = self._ranges_for(camera, ids_sorted, xy_sorted)
         cells = self._wedge_cells(camera, ranges)
-        self._vis_flat[cells] += 1.0
+        self._vis.reshape(-1)[cells] += 1.0
         self._cov_dirty.update(cells.tolist())
         self._cameras[camera.photo_id] = _CameraEntry(
             key,
@@ -448,7 +424,7 @@ class IncrementalMapEngine:
 
     def _retire_camera(self, photo_id: int) -> None:
         entry = self._cameras.pop(photo_id)
-        self._vis_flat[entry.cells] -= 1.0
+        self._vis.reshape(-1)[entry.cells] -= 1.0
         self._cov_dirty.update(entry.cells.tolist())
         if self._clip and entry.observed_ref is not None:
             for fid in entry.observed_ref:
@@ -463,8 +439,9 @@ class IncrementalMapEngine:
         changed = np.setxor1d(entry.cells, new_cells, assume_unique=True)
         if changed.size == 0:
             return
-        self._vis_flat[entry.cells] -= 1.0
-        self._vis_flat[new_cells] += 1.0
+        vis = self._vis.reshape(-1)
+        vis[entry.cells] -= 1.0
+        vis[new_cells] += 1.0
         entry.cells = new_cells
         self._cov_dirty.update(changed.tolist())
 
@@ -478,29 +455,24 @@ class IncrementalMapEngine:
             return
         idx = np.fromiter(self._cov_dirty, dtype=np.int64, count=len(self._cov_dirty))
         self._cov_dirty.clear()
-        covered = (self._obst_flat[idx] > 0.0) | (self._vis_flat[idx] > 0.0)
-        if self._site_flat is not None:
-            covered &= self._site_flat[idx]
-        before = self._covered_flat[idx]
-        self._covered_cells += int(covered.sum()) - int(before.sum())
-        self._covered_flat[idx] = covered
+        obst, vis = self._obst.reshape(-1), self._vis.reshape(-1)
+        covered = (obst[idx] > 0.0) | (vis[idx] > 0.0)
+        if self._site_mask is not None:
+            covered &= self._site_mask.reshape(-1)[idx]
+        covered_flat = self._covered.reshape(-1)
+        self._covered_cells += int(covered.sum()) - int(covered_flat[idx].sum())
+        covered_flat[idx] = covered
 
     # -- lifecycle ---------------------------------------------------------------
 
     def _reset(self) -> None:
         spec = self._spec
-        self._octomap = OctoMap.for_spec(spec)
         self._applied: Dict[int, Tuple[float, float, float]] = {}
+        self._counts = np.zeros(spec.shape, dtype=np.int64)
         self._obst = np.zeros(spec.shape, dtype=float)
         self._obst_mask = np.zeros(spec.shape, dtype=bool)
         self._vis = np.zeros(spec.shape, dtype=float)
         self._covered = np.zeros(spec.shape, dtype=bool)
-        self._obst_flat = self._obst.ravel()
-        self._vis_flat = self._vis.ravel()
-        self._covered_flat = self._covered.ravel()
-        self._site_flat = (
-            self._site_mask.ravel() if self._site_mask is not None else None
-        )
         self._covered_cells = 0
         self._cameras: Dict[int, _CameraEntry] = {}
         self._feature_cams: Dict[int, Set[int]] = {}

@@ -1,41 +1,26 @@
-"""A simplified OctoMap: octree occupancy over 3-D point clouds.
+"""A simplified OctoMap: count occupancy on an octree's leaf lattice.
 
 Algorithm 2 computes "OctoMap Om from M" and then merges "Om cells along
 up-pointing axis". This is a count-occupancy octree (no probabilistic ray
 updates — SnapTask only inserts triangulated points and counts them),
-subdividing space down to a configurable leaf resolution.
+subdividing space down to a configurable leaf resolution. Algorithm 2
+reads nothing but leaf counts, so only the leaf level is stored: one
+count per occupied leaf, keyed by the leaf centre that the octree's
+midpoint descent (:meth:`OctoMap.leaf_center`) assigns a point to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..errors import MappingError
 
 
-@dataclass
-class _Node:
-    """Internal octree node; leaves carry point counts."""
-
-    cx: float
-    cy: float
-    cz: float
-    half: float
-    depth: int
-    count: int = 0
-    children: Optional[List[Optional["_Node"]]] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
 class OctoMap:
-    """Count-occupancy octree with fixed leaf resolution."""
+    """Count occupancy on the leaf level of a fixed-depth octree."""
 
     def __init__(
         self,
@@ -51,7 +36,9 @@ class OctoMap:
         # Depth so that leaf half-size <= resolution / 2.
         depth = max(0, int(math.ceil(math.log2((2.0 * half_extent) / resolution))))
         self._max_depth = depth
-        self._root = _Node(center[0], center[1], center[2], half_extent, 0)
+        self._center = (float(center[0]), float(center[1]), float(center[2]))
+        self._half = float(half_extent)
+        self._leaves: Dict[Tuple[float, float, float], int] = {}
         self._n_points = 0
 
     @property
@@ -66,66 +53,39 @@ class OctoMap:
     def n_points(self) -> int:
         return self._n_points
 
+    def leaf_center(
+        self, x: float, y: float, z: float
+    ) -> Optional[Tuple[float, float, float]]:
+        """Centre of the leaf containing (x, y, z); ``None`` outside the cube.
+
+        The octree's descent rule, run from the root down to the leaf
+        depth: a coordinate on a node's midpoint goes to the upper child
+        (``>=``), and each child centre is its parent's centre ± a
+        quarter of the parent's side. The bounds are closed, so a point
+        on the cube's maximum face lands in the last leaf; NaN is outside.
+        Both the from-scratch obstacles map and the incremental engine
+        place points with this one rule.
+        """
+        cx, cy, cz = self._center
+        half = self._half
+        if not (abs(x - cx) <= half and abs(y - cy) <= half and abs(z - cz) <= half):
+            return None
+        for _ in range(self._max_depth):
+            quarter = half / 2.0
+            cx += quarter if x >= cx else -quarter
+            cy += quarter if y >= cy else -quarter
+            cz += quarter if z >= cz else -quarter
+            half = quarter
+        return (cx, cy, cz)
+
     def insert(self, x: float, y: float, z: float) -> bool:
         """Insert one point; returns False if outside the octree bounds."""
-        return self.insert_point(x, y, z) is not None
-
-    def insert_point(
-        self, x: float, y: float, z: float
-    ) -> Optional[Tuple[float, float, float]]:
-        """Insert one point, returning the centre of the leaf it landed in.
-
-        Returns ``None`` (and inserts nothing) when the point is outside
-        the octree bounds. The returned leaf centre is the authoritative
-        lattice position — incremental callers use it to decide which
-        merged column the point dirties, so point-on-boundary assignment
-        always agrees with the octree's own descent rule.
-        """
-        node = self._root
-        if not self._inside(node, x, y, z):
-            return None
-        while node.depth < self._max_depth:
-            if node.children is None:
-                node.children = [None] * 8
-            octant = self._octant(node, x, y, z)
-            child = node.children[octant]
-            if child is None:
-                child = self._make_child(node, octant)
-                node.children[octant] = child
-            node.count += 1
-            node = child
-        node.count += 1
+        leaf = self.leaf_center(x, y, z)
+        if leaf is None:
+            return False
+        self._leaves[leaf] = self._leaves.get(leaf, 0) + 1
         self._n_points += 1
-        return (node.cx, node.cy, node.cz)
-
-    def remove_point(
-        self, x: float, y: float, z: float
-    ) -> Optional[Tuple[float, float, float]]:
-        """Remove one previously-inserted point (delta maintenance).
-
-        Returns the centre of the leaf the point was removed from, or
-        ``None`` when the point lies outside the bounds. Removing from an
-        empty leaf is a caller bug (the incremental engine only removes
-        points it inserted) and raises :class:`MappingError`.
-        """
-        node = self._root
-        if not self._inside(node, x, y, z):
-            return None
-        path: List[_Node] = [node]
-        while node.depth < self._max_depth:
-            if node.children is None:
-                raise MappingError("remove_point: point was never inserted")
-            child = node.children[self._octant(node, x, y, z)]
-            if child is None:
-                raise MappingError("remove_point: point was never inserted")
-            node = child
-            path.append(node)
-        if node.count <= 0:
-            raise MappingError("remove_point: leaf already empty")
-        for visited in path:
-            visited.count -= 1
-        self._n_points -= 1
-        return (node.cx, node.cy, node.cz)
+        return True
 
     def insert_array(self, xyz: np.ndarray) -> int:
         """Insert (N, 3) points; returns how many fell inside the bounds."""
@@ -138,28 +98,12 @@ class OctoMap:
 
     def leaves(self) -> Iterator[Tuple[float, float, float, int]]:
         """Occupied leaves as (center_x, center_y, center_z, count)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                if node.count > 0 and node.depth == self._max_depth:
-                    yield (node.cx, node.cy, node.cz, node.count)
-            else:
-                for child in node.children:  # type: ignore[union-attr]
-                    if child is not None:
-                        stack.append(child)
+        for (cx, cy, cz), count in self._leaves.items():
+            yield (cx, cy, cz, count)
 
     def count_at(self, x: float, y: float, z: float) -> int:
         """Point count in the leaf containing (x, y, z)."""
-        node = self._root
-        if not self._inside(node, x, y, z):
-            return 0
-        while not node.is_leaf:
-            child = node.children[self._octant(node, x, y, z)]  # type: ignore[index]
-            if child is None:
-                return 0
-            node = child
-        return node.count if node.depth == self._max_depth else 0
+        return self._leaves.get(self.leaf_center(x, y, z), 0)
 
     def merge_columns(
         self, z_min: float = -math.inf, z_max: float = math.inf
@@ -182,90 +126,15 @@ class OctoMap:
             columns[key] = columns.get(key, 0) + count
         return columns
 
-    def column_count(
-        self,
-        x_lo: float,
-        x_hi: float,
-        y_lo: float,
-        y_hi: float,
-        z_min: float = -math.inf,
-        z_max: float = math.inf,
-    ) -> int:
-        """Re-merge one vertical column (Algorithm 2 line 3, locally).
-
-        Sum of occupied max-depth leaf counts whose centres satisfy
-        ``x_lo <= cx < x_hi``, ``y_lo <= cy < y_hi`` and
-        ``z_min <= cz <= z_max`` — the same half-open x/y and closed z
-        semantics the full merge uses. The traversal prunes subtrees that
-        cannot intersect the column, so re-merging one dirtied cell costs
-        O(depth + leaves in that column) instead of O(all leaves).
-        """
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.count == 0:
-                continue
-            # Prune: node's x/y extent entirely outside the column.
-            if (
-                node.cx + node.half <= x_lo
-                or node.cx - node.half >= x_hi
-                or node.cy + node.half <= y_lo
-                or node.cy - node.half >= y_hi
-            ):
-                continue
-            if node.is_leaf:
-                if (
-                    node.depth == self._max_depth
-                    and x_lo <= node.cx < x_hi
-                    and y_lo <= node.cy < y_hi
-                    and z_min <= node.cz <= z_max
-                ):
-                    total += node.count
-                continue
-            for child in node.children:  # type: ignore[union-attr]
-                if child is not None:
-                    stack.append(child)
-        return total
-
     @property
     def leaf_size(self) -> float:
-        return (2.0 * self._root.half) / (2 ** self._max_depth)
+        return (2.0 * self._half) / (2 ** self._max_depth)
 
     @property
     def min_corner(self) -> Tuple[float, float, float]:
         """Minimum (x, y, z) corner of the octree cube."""
-        return (
-            self._root.cx - self._root.half,
-            self._root.cy - self._root.half,
-            self._root.cz - self._root.half,
-        )
-
-    # -- internals -------------------------------------------------------------
-
-    @staticmethod
-    def _inside(node: _Node, x: float, y: float, z: float) -> bool:
-        return (
-            abs(x - node.cx) <= node.half
-            and abs(y - node.cy) <= node.half
-            and abs(z - node.cz) <= node.half
-        )
-
-    @staticmethod
-    def _octant(node: _Node, x: float, y: float, z: float) -> int:
-        return (
-            (1 if x >= node.cx else 0)
-            | (2 if y >= node.cy else 0)
-            | (4 if z >= node.cz else 0)
-        )
-
-    @staticmethod
-    def _make_child(node: _Node, octant: int) -> _Node:
-        quarter = node.half / 2.0
-        cx = node.cx + (quarter if octant & 1 else -quarter)
-        cy = node.cy + (quarter if octant & 2 else -quarter)
-        cz = node.cz + (quarter if octant & 4 else -quarter)
-        return _Node(cx, cy, cz, node.half / 2.0, node.depth + 1)
+        cx, cy, cz = self._center
+        return (cx - self._half, cy - self._half, cz - self._half)
 
     @staticmethod
     def for_cloud(

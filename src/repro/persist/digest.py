@@ -17,7 +17,8 @@ object-graph tampering that the frame alone cannot see.
 
 Telemetry handles are excluded by construction (they are process
 scoped, not state), as is anything keyed on live event tokens. Floats
-travel as ``repr`` (exact round-trip), matching ``testkit.digests``.
+travel as ``repr`` (exact round-trip); ``testkit.digests`` hashes run
+outputs with the same ``_canonical`` encoding.
 """
 
 from __future__ import annotations

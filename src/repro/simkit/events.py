@@ -34,7 +34,6 @@ from typing import Callable, List, Optional
 
 from ..errors import SimulationError
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..obs.tracing import Tracer
 
 EventHandler = Callable[[], None]
 
@@ -86,10 +85,6 @@ class EventToken:
         self._event.cancelled = True
 
 
-#: Default ring capacity for the legacy ``enable_tracing`` shim.
-LEGACY_TRACE_CAPACITY = 4096
-
-
 class Simulator:
     """Single-threaded discrete-event loop with deterministic ordering.
 
@@ -108,9 +103,6 @@ class Simulator:
         #: observers — never schedule events, draw RNG, or mutate sim
         #: state — so an attached probe cannot perturb the run it checks.
         self._probes: List[Callable[[EventToken], None]] = []
-        self._bind_telemetry()
-
-    def _bind_telemetry(self) -> None:
         self._tracer = self._obs.tracer
         if self._tracer.enabled:
             self._tracer.bind_clock(lambda: self._now)
@@ -140,33 +132,6 @@ class Simulator:
     @property
     def metrics(self):
         return self._obs.metrics
-
-    def enable_tracing(self, capacity: int = LEGACY_TRACE_CAPACITY) -> None:
-        """Record executed event labels (deprecated shim).
-
-        .. deprecated:: PR 3
-            Construct the simulator with ``Telemetry.enable()`` and read
-            structured ``sim.event`` spans from ``sim.tracer`` instead.
-            This shim installs a real tracer whose span ring is bounded
-            at ``capacity`` (the old ``List[str]`` grew without bound).
-        """
-        if not self._tracer.enabled:
-            self._obs = Telemetry(
-                tracer=Tracer(capacity=capacity), metrics=self._obs.metrics
-            )
-            self._bind_telemetry()
-
-    @property
-    def trace(self) -> List[str]:
-        """Executed event labels, ``"<time>:<label>"`` (deprecated shim).
-
-        Formats the structured ``sim.event`` spans the tracer ring still
-        holds; prefer ``sim.tracer.spans(category="sim.event")``.
-        """
-        return [
-            f"{span.start_sim_s:.6f}:{span.name}"
-            for span in self._tracer.spans(category="sim.event")
-        ]
 
     def add_probe(self, probe: Callable[[EventToken], None]) -> None:
         """Attach a post-dispatch observer (see ``_probes`` contract).

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import Dict, List, Optional, Tuple
+
+from ..persist.digest import _canonical
 
 #: Metric-name prefixes measuring host wall time (nondeterministic by
 #: design); everything else in the registry is simulation-driven.
@@ -28,10 +29,6 @@ WALL_METRIC_PREFIXES: Tuple[str, ...] = (
 
 #: Span attribute keys carrying wall-clock measurements.
 _WALL_ATTR_MARKER = "wall"
-
-
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=repr)
 
 
 def _digest(doc) -> str:

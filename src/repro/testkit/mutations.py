@@ -140,22 +140,24 @@ def _skip_admission_bound():
 
 
 def _skip_map_dirty_marking():
-    """Point inserts stop dirtying their map columns.
+    """Cloud deltas stop dirtying their map columns.
 
-    New cloud points land in the octree but their (row, col) columns are
-    never re-merged into the obstacles map — the incremental map drifts
-    from the Algorithm 2+3 from-scratch rebuild, which the checkpointed
+    Added and removed points still move the engine's per-cell column
+    counts, but the touched (row, col) cells are never re-thresholded
+    into the obstacles map — the incremental map drifts from the
+    Algorithm 2+3 from-scratch rebuild, which the checkpointed
     map-oracle invariant detects cell-exactly.
     """
     from ..mapping.incremental import IncrementalMapEngine
 
     def factory(original):
-        def _mark_dirty(self, leaf, dirty):
-            return None  # swallow the dirty-column bookkeeping
+        def _apply_cloud_delta(self, added, removed):
+            original(self, added, removed)
+            return set()  # swallow the dirty-cell bookkeeping
 
-        return _mark_dirty
+        return _apply_cloud_delta
 
-    return _patched(IncrementalMapEngine, "_mark_dirty", factory)
+    return _patched(IncrementalMapEngine, "_apply_cloud_delta", factory)
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,11 @@ class TestValidation:
             dataclasses.replace(
                 SfmConfig(), min_feature_range_m=10.0, max_feature_range_m=5.0
             ).validate()
+        # A non-positive visibility range would quietly shrink every camera
+        # wedge to one cell; a non-finite one cannot bound a wedge at all.
+        for bad in (0.0, -2.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(SfmConfig(), visibility_range_m=bad).validate()
 
     def test_bad_fov(self):
         with pytest.raises(ConfigError):

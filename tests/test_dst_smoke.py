@@ -6,9 +6,9 @@ layer of the testkit once:
 
 * a real sampled-campaign batch under the live invariant registry with
   the same-seed determinism double-run enabled;
-* a planted bug (mutation) being *caught* by the expected invariant,
-  *shrunk* to a minimal scenario, written as a replayable artifact, and
-  *reproduced* from that artifact;
+* planted bugs (mutations) being *caught* by their expected invariants,
+  *shrunk* to minimal scenarios, written as replayable artifacts, and
+  *reproduced* from those artifacts;
 * scenario serialisation round-tripping through JSON exactly;
 * the campaign-seed derivation staying stable across refactors (pinned
   values — artifacts in flight reference these seeds).
@@ -66,31 +66,40 @@ class TestCampaignBatch:
 
 
 class TestMutationLoop:
+    #: Planted bugs proven caught here; skip-admission-bound and
+    #: skip-digest-verify have their own probes and tests
+    #: (test_backend_overload.py, test_persist_faults.py).
+    CAUGHT_HERE = (
+        "skip-batch-dedupe",
+        "skip-map-dirty-marking",
+        "leak-completed-lease",
+    )
+
     def test_planted_bug_is_caught_shrunk_and_replayable(self, tmp_path):
-        mutation = "skip-batch-dedupe"
-        expected = f"invariant:{MUTATIONS[mutation].expected_invariant}"
-        summary = run_fuzz(
-            campaigns=1,
-            master_seed=0,
-            mutation=mutation,
-            shrink=True,
-            shrink_budget=16,
-            check_determinism=False,
-            artifact_dir=tmp_path,
-        )
-        assert len(summary.failures) == 1
-        failure = summary.failures[0]
-        assert failure.result.label == expected
-        # The shrinker simplified the scenario (fewer obstacles / shorter run)
-        # without changing the failure.
-        assert failure.shrink_steps
-        assert failure.result.scenario != failure.original
-        # The artifact on disk replays to the same failure.
-        assert failure.artifact_path is not None
-        doc = load_artifact(failure.artifact_path)
-        assert doc["failure"] == expected
-        replayed = replay_artifact(doc, check_determinism=False)
-        assert replayed.label == expected
+        for mutation in self.CAUGHT_HERE:
+            expected = f"invariant:{MUTATIONS[mutation].expected_invariant}"
+            summary = run_fuzz(
+                campaigns=1,
+                master_seed=0,
+                mutation=mutation,
+                shrink=True,
+                shrink_budget=16,
+                check_determinism=False,
+                artifact_dir=tmp_path / mutation,
+            )
+            assert len(summary.failures) == 1, mutation
+            failure = summary.failures[0]
+            assert failure.result.label == expected, mutation
+            # The shrinker simplified the scenario (fewer obstacles / shorter
+            # run) without changing the failure.
+            assert failure.shrink_steps, mutation
+            assert failure.result.scenario != failure.original, mutation
+            # The artifact on disk replays to the same failure.
+            assert failure.artifact_path is not None, mutation
+            doc = load_artifact(failure.artifact_path)
+            assert doc["failure"] == expected, mutation
+            replayed = replay_artifact(doc, check_determinism=False)
+            assert replayed.label == expected, mutation
 
 
 class TestScenarioSerialisation:

@@ -30,6 +30,7 @@ from repro.mapping import (
     calculate_visibility_map,
 )
 from repro.core.pipeline import SnapTaskPipeline
+from repro.errors import MappingError
 from repro.sfm import PointCloud, SfmModel
 from repro.sfm.model import RecoveredCamera
 from repro.sfm.pointcloud import CloudPoint
@@ -217,6 +218,11 @@ class TestSyntheticDeltas:
         wall = wall_points(0, 6.0, 2.0, 6.0)
         cam = make_camera(1, 3.0, 4.0, 0.0, [p.feature_id for p in wall])
         self.check_sequence(spec, [(wall, [cam])], site_mask=site)
+
+    def test_bad_max_range_rejected(self):
+        for bad in (0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(MappingError):
+                IncrementalMapEngine(small_spec(), max_range_m=bad)
 
     def test_full_rebuild_escape_hatch_is_identical(self):
         spec = small_spec()

@@ -1,5 +1,5 @@
 """Tracer spans: sim-time intervals, cross-event context propagation,
-bounded ring, and the deprecated ``Simulator.enable_tracing`` shim."""
+the bounded ring, and the simulator's dispatch spans."""
 
 import pytest
 
@@ -154,22 +154,6 @@ class TestSimulatorIntegration:
         sim.run()
         assert telemetry.metrics.get("repro.sim.events.cancelled").value == 1
         assert telemetry.metrics.get("repro.sim.events.dispatched").value == 1
-
-    def test_legacy_enable_tracing_shim_format(self):
-        sim = Simulator()
-        sim.enable_tracing()
-        sim.schedule(1.0, lambda: None, label="tick")
-        sim.run()
-        assert sim.trace == ["1.000000:tick"]
-
-    def test_legacy_shim_is_bounded(self):
-        sim = Simulator()
-        sim.enable_tracing(capacity=8)
-        for i in range(20):
-            sim.schedule(float(i), lambda: None, label=f"e{i}")
-        sim.run()
-        assert len(sim.trace) == 8
-        assert sim.tracer.dropped_spans == 12
 
     def test_default_simulator_has_null_telemetry(self):
         sim = Simulator()

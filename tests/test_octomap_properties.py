@@ -1,12 +1,15 @@
 """Property-based OctoMap tests against a brute-force voxel reference.
 
-The incremental engine trusts the octree for delta insertion, removal and
-per-column re-merges, so the octree's lattice arithmetic is checked here
-against an independent floor-index reference over seeded-random clouds.
-The test octree (centre 0, half-extent 8, resolution 0.25) is chosen so
-every node centre is exactly representable in binary floating point: the
-octree's midpoint-descent partition and the reference's floor arithmetic
-then agree *exactly*, including for points sitting on cell edges.
+The from-scratch obstacles map and the incremental engine both place
+points with the octree's leaf descent (``OctoMap.leaf_center``), so its
+lattice arithmetic is checked here against an independent floor-index
+reference over seeded-random clouds. The test octree (centre 0,
+half-extent 8, resolution 0.25) is chosen so every node centre is exactly
+representable in binary floating point: the octree's midpoint-descent
+partition and the reference's floor arithmetic then agree *exactly*,
+including for points sitting on cell edges. The engine's per-cell delta
+counts are then checked against the from-scratch obstacles map after
+every step of seeded add/remove sequences.
 """
 
 from __future__ import annotations
@@ -18,9 +21,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MappingError
 from repro.geometry import BoundingBox
-from repro.mapping import GridSpec, OctoMap
+from repro.mapping import (
+    GridSpec,
+    IncrementalMapEngine,
+    OctoMap,
+    calculate_obstacles_map,
+)
+from repro.sfm import PointCloud, SfmModel
+from repro.sfm.pointcloud import CloudPoint
 
 HALF = 8.0
 RES = 0.25
@@ -98,65 +107,6 @@ class TestInsertAgainstBruteForce:
                 ref[(brute_index(x) - int(HALF / LEAF), brute_index(y) - int(HALF / LEAF))] += 1
         assert tree.merge_columns(z_min, z_max) == dict(ref)
 
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
-    def test_column_count_matches_reference(self, seed, n):
-        """The dirty-column re-merge query == brute per-column counts."""
-        z_min, z_max = -0.5, 3.0
-        xyz = random_cloud(seed, n)
-        tree = make_tree()
-        tree.insert_array(xyz)
-        ref: dict = defaultdict(int)
-        for x, y, z in xyz:
-            cz = -HALF + (brute_index(z) + 0.5) * LEAF
-            if z_min <= cz <= z_max:
-                ref[(brute_index(x), brute_index(y))] += 1
-        for (ix, iy), expected in list(ref.items())[:30]:
-            x_lo = -HALF + ix * LEAF
-            y_lo = -HALF + iy * LEAF
-            got = tree.column_count(x_lo, x_lo + LEAF, y_lo, y_lo + LEAF, z_min, z_max)
-            assert got == expected
-        # An empty column reports zero.
-        assert tree.column_count(100.0, 100.25, 0.0, 0.25) == 0
-
-
-class TestRemoveIsInsertInverse:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 200),
-        k=st.integers(1, 100),
-    )
-    def test_remove_subset_equals_rebuild_of_remainder(self, seed, n, k):
-        k = min(k, n - 1)
-        xyz = random_cloud(seed, n)
-        tree = make_tree()
-        tree.insert_array(xyz)
-        for x, y, z in xyz[:k]:
-            assert tree.remove_point(x, y, z) is not None
-        rebuilt = make_tree()
-        rebuilt.insert_array(xyz[k:])
-        assert tree.n_points == n - k
-        assert octree_leaves(tree) == octree_leaves(rebuilt)
-        assert tree.merge_columns() == rebuilt.merge_columns()
-
-    def test_remove_never_inserted_raises(self):
-        tree = make_tree()
-        tree.insert(1.0, 1.0, 1.0)
-        with pytest.raises(MappingError):
-            tree.remove_point(-3.0, -3.0, -3.0)
-
-    def test_remove_twice_raises(self):
-        tree = make_tree()
-        tree.insert(1.0, 1.0, 1.0)
-        assert tree.remove_point(1.0, 1.0, 1.0) is not None
-        with pytest.raises(MappingError):
-            tree.remove_point(1.0, 1.0, 1.0)
-
-    def test_remove_out_of_extent_is_none(self):
-        tree = make_tree()
-        assert tree.remove_point(50.0, 0.0, 0.0) is None
-
 
 class TestBoundaryCoordinates:
     def test_points_on_cell_edges_go_to_upper_cell(self):
@@ -164,7 +114,7 @@ class TestBoundaryCoordinates:
         the cell whose minimum corner it sits on."""
         tree = make_tree()
         for b in (-0.25, 0.0, 0.25, 2.5, -4.0):
-            leaf = tree.insert_point(b, b, b)
+            leaf = tree.leaf_center(b, b, b)
             assert leaf is not None
             cx, cy, cz = leaf
             assert cx == pytest.approx(b + LEAF / 2.0, abs=1e-12)
@@ -174,15 +124,16 @@ class TestBoundaryCoordinates:
     def test_extent_faces(self):
         tree = make_tree()
         # The maximum face is inside (closed bounds), landing in the last leaf.
-        leaf = tree.insert_point(HALF, 0.0, 0.0)
+        leaf = tree.leaf_center(HALF, 0.0, 0.0)
         assert leaf is not None
         assert leaf[0] == pytest.approx(HALF - LEAF / 2.0)
-        assert tree.insert_point(-HALF, 0.0, 0.0) is not None
+        assert tree.leaf_center(-HALF, 0.0, 0.0) is not None
 
     def test_out_of_extent_points_rejected(self):
         tree = make_tree()
         assert not tree.insert(HALF + 1e-6, 0.0, 0.0)
         assert not tree.insert(0.0, -HALF - 1.0, 0.0)
+        assert not tree.insert(0.0, 0.0, math.nan)
         assert tree.insert_array(np.array([[9.0, 0.0, 0.0], [0.0, 0.0, 0.0]])) == 1
         assert tree.n_points == 1
 
@@ -220,4 +171,78 @@ class TestSpecAnchoredLattice:
         b = OctoMap.for_spec(spec)
         a.insert(1.0, 1.0, 1.0)
         b.insert_array(np.array([[9.9, 9.9, 2.0], [1.0, 1.0, 1.0]]))
-        assert a.insert_point(4.4, 5.5, 0.7) == b.insert_point(4.4, 5.5, 0.7)
+        assert a.leaf_center(4.4, 5.5, 0.7) == b.leaf_center(4.4, 5.5, 0.7)
+
+
+#: Grids for the engine property. On the 0.25 m lattice every edge value
+#: is exactly a leaf face; with the paper's 0.15 m cell off a non-zero
+#: origin, edge values land within rounding of the faces, where placing
+#: a point by its raw coordinates instead of its leaf would disagree.
+ENGINE_GRIDS = {
+    "exact": GridSpec.from_bbox(BoundingBox(0.0, 0.0, 2.0, 2.0), 0.25, margin_m=0.0),
+    "paper": GridSpec.from_bbox(BoundingBox(0.3, 0.7, 2.3, 2.7), 0.15, margin_m=0.0),
+}
+
+
+def edge_values(spec: GridSpec) -> list:
+    """Per-axis lattice values: every cell edge of the grid (z: the leaf
+    faces through the vertical band) plus the spec-anchored cube's faces
+    and one cell beyond each."""
+    cell = spec.cell_size_m
+    lattice = OctoMap.for_spec(spec)
+    side = lattice.leaf_size * 2**lattice.max_depth
+    edges = []
+    for lo, origin, count in zip(
+        lattice.min_corner,
+        (spec.origin_x, spec.origin_y, 0.0),
+        (spec.n_cols, spec.n_rows, int(3.0 / cell)),
+    ):
+        inner = [origin + k * cell for k in range(-1, count + 2)]
+        edges.append(np.array(inner + [lo - cell, lo, lo + side, lo + side + cell]))
+    return edges
+
+
+def delta_points(rng, n: int, spec: GridSpec, edges: list) -> np.ndarray:
+    """Seeded points over the grid and the vertical band; at even odds each
+    coordinate is replaced by one of its axis's ``edge_values``."""
+    cell = spec.cell_size_m
+    lo = (spec.origin_x, spec.origin_y, 0.0)
+    hi = (lo[0] + spec.n_cols * cell, lo[1] + spec.n_rows * cell, 2.75)
+    xyz = rng.uniform(lo, hi, size=(n, 3))
+    for axis in range(3):
+        on_edge = rng.random(n) < 0.5
+        xyz[on_edge, axis] = rng.choice(edges[axis], size=int(on_edge.sum()))
+    return xyz
+
+
+class TestEngineDeltaCounts:
+    @pytest.mark.parametrize("grid", sorted(ENGINE_GRIDS))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 10))
+    def test_obstacles_equal_rebuild_after_every_delta(self, grid, seed, steps):
+        """Adds, removals and moves keep the engine's obstacles grid equal
+        to ``calculate_obstacles_map`` of the applied point set."""
+        spec = ENGINE_GRIDS[grid]
+        edges = edge_values(spec)
+        engine = IncrementalMapEngine(spec, obstacle_threshold=2)
+        rng = np.random.default_rng(seed)
+        applied: dict = {}
+        next_fid = 0
+        for _ in range(steps):
+            live = rng.permutation(sorted(applied))
+            live = live[: rng.integers(0, len(live) + 1)]
+            dropped, moved = live[: len(live) // 2], live[len(live) // 2 :]
+            for fid in dropped:
+                del applied[int(fid)]
+            for fid, xyz in zip(moved, delta_points(rng, len(moved), spec, edges)):
+                applied[int(fid)] = tuple(xyz)
+            for xyz in delta_points(rng, int(rng.integers(0, 40)), spec, edges):
+                applied[next_fid] = tuple(xyz)
+                next_fid += 1
+            cloud = PointCloud(
+                [CloudPoint(fid, x, y, z, 3) for fid, (x, y, z) in applied.items()]
+            )
+            update = engine.update(SfmModel(cloud, []))
+            expected = calculate_obstacles_map(cloud, spec, obstacle_threshold=2)
+            np.testing.assert_array_equal(update.maps.obstacles.data, expected.data)
+            assert update.covered_cells == expected.nonzero_count()

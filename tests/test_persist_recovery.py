@@ -9,9 +9,10 @@ DESIGN.md §10's recovered-state contract, pinned at deployment scale:
 * every recovery's double-restore digest audit matches;
 * a crash landing exactly at a lease-expiry instant neither loses nor
   double-fires the reap (the simulator timer fencing satellite);
-* ``IncrementalMapEngine`` snapshots preserve the flat/2-D grid view
-  aliasing (the deepcopy regression that silently corrupted coverage
-  after every restore).
+* an ``IncrementalMapEngine`` copied mid-replay, by ``copy.deepcopy``
+  or by the checkpoint's ``fast_deepcopy``, stays cell-exact against the
+  from-scratch oracle and independent of its original (the deepcopy
+  regression that once silently corrupted coverage after every restore).
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.mapping import GridSpec
-from repro.mapping.incremental import IncrementalMapEngine
+from repro.mapping import GridSpec, IncrementalMapEngine
 from repro.persist import AdmitRecord, BatchRecord, ReapRecord, RecoveryManager
+from repro.persist.fastcopy import fast_deepcopy
+from repro.sfm import PointCloud, SfmModel
 from repro.testkit import Scenario, run_scenario
+from tests.test_incremental_equivalence import assert_cell_exact, make_camera
 
 #: The quiet single-client deployment every test derives from.
 BASE = Scenario(seed=11, n_clients=1)
@@ -222,22 +225,61 @@ class TestCrashAtLeaseExpiry:
         assert result.report.backend_recoveries == 1
 
 
+def _replay_models():
+    """Eight growing models: each adds a wall of points and a camera facing
+    it, and drops or moves some earlier points (SOR-style churn)."""
+    rng = np.random.default_rng(5)
+    points = {}  # feature id -> (x, y, z)
+    cameras = []
+    models = []
+    for step in range(8):
+        x = 2.0 + 1.2 * step
+        wall = []
+        for y in np.arange(1.0, 8.0, 0.1):
+            for k in range(5):
+                fid = 10_000 * step + len(wall)
+                points[fid] = (x, float(y), 0.4 + 0.4 * k)
+                wall.append(fid)
+        for fid in rng.choice(sorted(points), size=20, replace=False):
+            if rng.random() < 0.5:
+                del points[int(fid)]
+            else:
+                px, py, pz = points[int(fid)]
+                points[int(fid)] = (px + 0.3, py, pz)
+        cameras.append(make_camera(step, x - 1.5, 4.5, 0.0, wall))
+        ids = np.array(sorted(points))
+        xyz = np.array([points[fid] for fid in ids.tolist()])
+        cloud = PointCloud.from_columns(ids, xyz, np.full(len(ids), 3))
+        models.append(SfmModel(cloud, list(cameras)))
+    return models
+
+
 class TestSnapshotAliasing:
-    def test_deepcopy_preserves_flat_grid_views(self):
-        """The snapshot regression: deepcopy must keep ``_vis_flat`` et
-        al. as *views* of their 2-D grids, not decoupled copies."""
-        engine = IncrementalMapEngine(GridSpec(0.0, 0.0, 0.5, 6, 8))
-        clone = copy.deepcopy(engine)
-        for flat, grid in (
-            (clone._obst_flat, clone._obst),
-            (clone._vis_flat, clone._vis),
-            (clone._covered_flat, clone._covered),
-        ):
-            assert flat.base is grid, "deepcopy severed the ravel() view"
-            before = grid.flat[3]
-            flat[3] = 1  # _covered is boolean; 1 is valid for every dtype
-            assert grid.flat[3] == flat[3] == 1  # writes reach the 2-D grid
-            flat[3] = before
-        # And the clone is a copy, not an alias of the original.
-        clone._vis_flat[0] = 99
-        assert engine._vis.flat[0] != 99
+    def test_copies_replay_exactly_and_independently(self):
+        """The snapshot regression, by behaviour: an engine copied
+        mid-replay must keep matching the from-scratch oracle on the
+        remaining batches, and updating a copy must leave the original
+        untouched."""
+        spec = GridSpec(0.0, 0.0, 0.25, 40, 56)
+        site = np.ones(spec.shape, dtype=bool)
+        site[:, :6] = False
+        models = _replay_models()
+        engine = IncrementalMapEngine(spec, site_mask=site)
+        for model in models[:4]:
+            engine.update(model)
+        before = engine.maps()
+        covered_before = engine.covered_cells
+
+        for clone in (copy.deepcopy(engine), fast_deepcopy(engine)):
+            for model in models[4:]:
+                assert_cell_exact(clone.update(model), model, spec, site_mask=site)
+            np.testing.assert_array_equal(
+                engine.maps().obstacles.data, before.obstacles.data
+            )
+            np.testing.assert_array_equal(
+                engine.maps().visibility.data, before.visibility.data
+            )
+            assert engine.covered_cells == covered_before
+
+        for model in models[4:]:
+            assert_cell_exact(engine.update(model), model, spec, site_mask=site)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import SimulationError
+from repro.obs import Telemetry
 from repro.simkit import Channel, DuplexLink, Simulator
 
 
@@ -83,11 +84,11 @@ class TestSimulator:
         assert not Simulator().step()
 
     def test_tracing(self):
-        sim = Simulator()
-        sim.enable_tracing()
+        sim = Simulator(telemetry=Telemetry.enable())
         sim.schedule(1.0, lambda: None, label="tick")
         sim.run()
-        assert sim.trace == ["1.000000:tick"]
+        spans = sim.tracer.spans(category="sim.event")
+        assert [(span.start_sim_s, span.name) for span in spans] == [(1.0, "tick")]
 
     def test_pending_counts_live_events(self):
         sim = Simulator()
