@@ -58,9 +58,17 @@ def find_unvisited(
     site: the backend's matrix covers the venue being mapped, so space
     beyond the site outline (e.g. seen through glass walls) is never
     "unvisited". Pass None to search the whole grid.
+
+    The breadth-first order over obstacle-free cells does not depend on
+    what the search finds, so it is built one layer at a time in numpy;
+    only the layer's unvisited, unchecked cells are visited in Python.
+    The queue itself marks nothing checked: every unvisited cell it has
+    passed already lies in an expanded region, and :func:`_expand`
+    enters unvisited cells only.
     """
-    if obstacles.spec != visibility.spec:
-        raise TaskGenerationError("maps on different grid specs")
+    obstacle, unvisited = _unvisited_mask(
+        obstacles, visibility, covered_view_tolerance, site_mask
+    )
     if max_areas < 1:
         return []
     spec = obstacles.spec
@@ -68,38 +76,62 @@ def find_unvisited(
     if start is None:
         raise TaskGenerationError(f"start position {start_world} outside the grid")
 
+    checked = np.zeros(spec.shape, dtype=bool)
+    flat_checked, flat_unvisited = checked.reshape(-1), unvisited.reshape(-1)
+    passable = ~obstacle.reshape(-1)
+    cap = expansion_cap_cells if expansion_cap_cells else min_area_cells
+    found: List[UnvisitedArea] = []
+    layer = np.array([start[0] * spec.n_cols + start[1]])
+    queued = np.zeros(passable.size, dtype=bool)
+    queued[layer] = True
+    while layer.size:
+        for q in layer[flat_unvisited[layer] & ~flat_checked[layer]].tolist():
+            if flat_checked[q]:
+                continue  # swallowed by an earlier expansion in this layer
+            area_cells = _expand(divmod(q, spec.n_cols), unvisited, checked, cap)
+            if len(area_cells) >= min_area_cells:
+                found.append(_make_area(area_cells, spec))
+                if len(found) == max_areas:
+                    return found
+        layer = _next_layer(layer, passable, queued, spec.n_rows, spec.n_cols)
+    return found
+
+
+def _next_layer(
+    layer: np.ndarray, passable: np.ndarray, queued: np.ndarray, n_rows: int, n_cols: int
+) -> np.ndarray:
+    """The BFS layer after ``layer`` (flat indices), in queue order.
+
+    Discoverers in layer order, each one's neighbours in
+    :data:`_NEIGHBOURS` order; a cell discovered twice keeps its first
+    place. Marks the new layer queued.
+    """
+    rows, cols = np.divmod(layer, n_cols)
+    inside = np.stack([rows + 1 < n_rows, rows > 0, cols + 1 < n_cols, cols > 0], axis=1)
+    candidates = (layer[:, None] + np.array([n_cols, -n_cols, 1, -1]))[inside]
+    candidates = candidates[passable[candidates] & ~queued[candidates]]
+    _, first = np.unique(candidates, return_index=True)
+    nxt = candidates[np.sort(first)]
+    queued[nxt] = True
+    return nxt
+
+
+def _unvisited_mask(
+    obstacles: Grid2D,
+    visibility: Grid2D,
+    covered_view_tolerance: int,
+    site_mask: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(obstacle, unvisited) masks; rejects mismatched maps and site masks."""
+    if obstacles.spec != visibility.spec:
+        raise TaskGenerationError("maps on different grid specs")
     obstacle = obstacles.nonzero_mask()
-    views = visibility.data
-    unvisited = (~obstacle) & (views < covered_view_tolerance)
+    unvisited = (~obstacle) & (visibility.data < covered_view_tolerance)
     if site_mask is not None:
         if site_mask.shape != unvisited.shape:
             raise TaskGenerationError("site mask on a different grid")
         unvisited &= site_mask
-    checked = np.zeros(spec.shape, dtype=bool)
-
-    cap = expansion_cap_cells if expansion_cap_cells else min_area_cells
-    found: List[UnvisitedArea] = []
-    queue: deque = deque([start])
-    queued = np.zeros(spec.shape, dtype=bool)
-    queued[start] = True
-    while queue and len(found) < max_areas:
-        q = queue.popleft()
-        if not checked[q]:
-            if unvisited[q]:
-                area_cells = _expand(q, unvisited, checked, cap)
-                if len(area_cells) >= min_area_cells:
-                    found.append(_make_area(area_cells, spec))
-            checked[q] = True
-        for dr, dc in _NEIGHBOURS:
-            nr, nc = q[0] + dr, q[1] + dc
-            if (
-                spec.in_bounds(nr, nc)
-                and not queued[nr, nc]
-                and not obstacle[nr, nc]
-            ):
-                queued[nr, nc] = True
-                queue.append((nr, nc))
-    return found
+    return obstacle, unvisited
 
 
 def _expand(
@@ -148,14 +180,13 @@ def unvisited_region_at(
     region around it is excluded from future task generation. Returns an
     empty list when the location's cell is covered or an obstacle.
     """
+    _, unvisited = _unvisited_mask(
+        obstacles, visibility, covered_view_tolerance, site_mask
+    )
     spec = obstacles.spec
     seed = spec.cell_of(location)
     if seed is None:
         return []
-    obstacle = obstacles.nonzero_mask()
-    unvisited = (~obstacle) & (visibility.data < covered_view_tolerance)
-    if site_mask is not None:
-        unvisited &= site_mask
     if not unvisited[seed]:
         # Fall back to the nearest unvisited cell within a small window, so
         # a slightly-off task location still anchors its failing region.

@@ -10,17 +10,20 @@ grows. This engine maintains the same three artefacts by delta:
 * **Obstacles** — one integer grid holds each map cell's merged column
   count: the number of applied points whose leaf on the spec-anchored
   :class:`OctoMap` lattice (one leaf column == one map cell) lies in the
-  cell and inside the vertical band. Only the *diff* of the filtered
-  cloud versus the previously applied cloud moves those counts — new
+  cell and inside the vertical band. The applied cloud is kept as sorted
+  feature-id and xyz columns; one ``searchsorted`` merge diffs each new
+  filtered cloud against it. Only that diff moves the counts — new
   triangulated points add one, points dropped by the statistical outlier
   filter subtract one — and only the touched cells are re-thresholded
   into the obstacles grid.
-* **Visibility** — per-camera FOV wedges are cached, keyed by the camera
-  pose and its per-sector information-clip ranges. A cached wedge is
-  invalidated only when (a) an obstacle cell within the camera's reach
-  changed occupancy, or (b) the camera's observed-point set intersects
-  cloud features that changed, *and* the recomputed clip ranges actually
-  differ. Everything else is reused verbatim.
+* **Visibility** — per-camera FOV wedges are cached as sorted flat cell
+  indices, keyed by the camera pose and its per-sector information-clip
+  ranges. A cached wedge is recomputed only when (a) a cell whose
+  occupancy flipped lies inside it, or (b) the camera's observed-point
+  set intersects cloud features that changed, *and* the recomputed clip
+  ranges actually differ. Rule (a) is exact: a ray stops at its first
+  obstacle and that cell is in the wedge, so a flip outside the wedge
+  cannot change any ray. Everything else is reused verbatim.
 * **Coverage** — the covered-cell union (optionally restricted to a site
   mask) is maintained over the dirty region only; no full grid scans.
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,14 +55,10 @@ from .coverage import CoverageMaps
 from .grid import Grid2D, GridSpec
 from .obstacles import DEFAULT_Z_MAX, DEFAULT_Z_MIN
 from .octomap import OctoMap
-from .visibility import camera_visible_cells, sector_information_ranges
+from .visibility import sector_information_ranges, visible_cell_indices
 
-#: Safety margin (in cells) added to a camera's reach when deciding whether
-#: a dirtied obstacle cell can affect its cached wedge. Ray marching samples
-#: radii up to ``max_range + cell/2`` and a sample lands anywhere inside its
-#: cell (centre offset up to ``cell * sqrt(2)/2``), so 2 cells is strictly
-#: conservative.
-_REACH_MARGIN_CELLS = 2.0
+#: A cloud delta: feature ids and their (N, 3) positions.
+_Points = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,13 @@ class MapUpdate:
 class _CameraEntry:
     """Cached wedge of one registered camera."""
 
-    __slots__ = ("key", "observed_ref", "ranges", "cells", "x", "y")
+    __slots__ = ("key", "observed_ref", "ranges", "cells")
 
-    def __init__(self, key, observed_ref, ranges, cells, x, y):
+    def __init__(self, key, observed_ref, ranges, cells):
         self.key = key  # (x, y, yaw, hfov) — invalidates on pose change
         self.observed_ref = observed_ref  # identity of observed-ids array
         self.ranges = ranges  # per-sector info-clip ranges (or None)
         self.cells = cells  # sorted flat cell indices of the wedge
-        self.x = x
-        self.y = y
 
 
 class IncrementalMapEngine:
@@ -164,7 +161,7 @@ class IncrementalMapEngine:
 
     @property
     def n_applied_points(self) -> int:
-        return len(self._applied)
+        return self._ids.size
 
     def maps(self) -> CoverageMaps:
         """Independent snapshot of the current obstacles + visibility maps."""
@@ -193,115 +190,97 @@ class IncrementalMapEngine:
             cloud = model.cloud
 
         added, removed = self._diff_cloud(cloud)
-        dirty_cols = self._apply_cloud_delta(added, removed)
-        mask_changed = self._remerge_columns(dirty_cols)
-        refreshed, reused, n_new = self._update_cameras(
-            model, cloud, added, removed, mask_changed
-        )
-        self._update_coverage(mask_changed)
+        dirty = self._apply_cloud_delta(added, removed)
+        flipped = self._remerge_columns(dirty)
+        refreshed, reused, n_new = self._update_cameras(model, added, removed, flipped)
+        self._update_coverage(flipped)
 
         self._m_updates.inc()
         self._m_cache_hits.inc(reused)
         self._m_cache_misses.inc(refreshed + n_new)
-        self._h_dirty.record(len(dirty_cols))
+        self._h_dirty.record(dirty.size)
         self._g_covered.set(self._covered_cells)
         return MapUpdate(
             maps=self.maps(),
             covered_cells=self._covered_cells,
-            points_added=len(added),
-            points_removed=len(removed),
+            points_added=added[0].size,
+            points_removed=removed[0].size,
             cameras_added=n_new,
             cameras_refreshed=refreshed,
             cameras_reused=reused,
-            dirty_obstacle_cells=len(dirty_cols),
+            dirty_obstacle_cells=dirty.size,
             full_rebuild=full_rebuild,
         )
 
     # -- obstacles: per-cell column counts + dirty-cell re-threshold -------------
 
-    def _diff_cloud(
-        self, cloud: PointCloud
-    ) -> Tuple[List[Tuple[int, Tuple[float, float, float]]], List[Tuple[int, Tuple[float, float, float]]]]:
-        """Symmetric diff of ``cloud`` against the applied point set.
+    def _diff_cloud(self, cloud: PointCloud) -> Tuple[_Points, _Points]:
+        """Symmetric diff of ``cloud`` against the applied columns.
 
         The SOR filter is a *global* statistic: adding points can evict
         previously-inlying points, so the delta is not insert-only. Points
-        whose position changed are treated as remove + add.
+        whose position changed are treated as remove + add. Both sides are
+        sorted by feature id, so one ``searchsorted`` matches them; the
+        cloud then becomes the applied set.
         """
-        ids = cloud.feature_ids
+        ids = np.asarray(cloud.feature_ids, dtype=np.int64)
         xyz = cloud.xyz
-        new: Dict[int, Tuple[float, float, float]] = {}
-        for i in range(ids.shape[0]):
-            new[int(ids[i])] = (float(xyz[i, 0]), float(xyz[i, 1]), float(xyz[i, 2]))
-        if len(new) != ids.shape[0]:
-            raise MappingError("point cloud has duplicate feature ids")
+        if not (ids[1:] > ids[:-1]).all():
+            order = np.argsort(ids, kind="stable")
+            ids, xyz = ids[order], xyz[order]
+            if (ids[1:] == ids[:-1]).any():
+                raise MappingError("point cloud has duplicate feature ids")
+        old_ids, old_xyz = self._ids, self._xyz
+        pos = np.searchsorted(old_ids, ids)
+        same = pos < old_ids.size
+        same[same] = old_ids[pos[same]] == ids[same]
+        same[same] = (old_xyz[pos[same]] == xyz[same]).all(axis=1)
+        kept = np.zeros(old_ids.size, dtype=bool)
+        kept[pos[same]] = True
+        self._ids, self._xyz = ids, xyz
+        return (ids[~same], xyz[~same]), (old_ids[~kept], old_xyz[~kept])
 
-        added: List[Tuple[int, Tuple[float, float, float]]] = []
-        removed: List[Tuple[int, Tuple[float, float, float]]] = []
-        for fid, pos in new.items():
-            old = self._applied.get(fid)
-            if old is None:
-                added.append((fid, pos))
-            elif old != pos:
-                removed.append((fid, old))
-                added.append((fid, pos))
-        if len(new) - len(added) != len(self._applied) - len(removed):
-            # Some applied points vanished entirely from the cloud.
-            for fid, old in self._applied.items():
-                if fid not in new:
-                    removed.append((fid, old))
-        return added, removed
-
-    def _apply_cloud_delta(self, added, removed) -> Set[Tuple[int, int]]:
-        """Move the column counts by the diff; return the touched map cells.
+    def _apply_cloud_delta(self, added: _Points, removed: _Points) -> np.ndarray:
+        """Move the column counts by the diff; return the touched flat cells.
 
         A point counts in the cell under its leaf centre, and only when
         that centre lies inside the cube and the vertical band — the
         placement :func:`~repro.mapping.obstacles.calculate_obstacles_map`
         uses.
         """
-        for fid, _pos in removed:
-            del self._applied[fid]
-        self._applied.update(added)
-        dirty: Set[Tuple[int, int]] = set()
-        for step, delta in ((-1, removed), (1, added)):
-            for _fid, pos in delta:
-                leaf = self._lattice.leaf_center(*pos)
+        counts = self._counts.reshape(-1)
+        touched: List[int] = []
+        for step, (_ids, xyz) in ((-1, removed), (1, added)):
+            for x, y, z in xyz.tolist():
+                leaf = self._lattice.leaf_center(x, y, z)
                 if leaf is None or not self._z_min <= leaf[2] <= self._z_max:
                     continue  # outside the cube or the vertical band
                 cell = self._spec.cell_of(Vec2(leaf[0], leaf[1]))
                 if cell is not None:
-                    self._counts[cell] += step
-                    dirty.add(cell)
-        return dirty
+                    flat = cell[0] * self._spec.n_cols + cell[1]
+                    counts[flat] += step
+                    touched.append(flat)
+        return np.unique(np.array(touched, dtype=np.int64))
 
-    def _remerge_columns(self, dirty: Set[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    def _remerge_columns(self, dirty: np.ndarray) -> np.ndarray:
         """Re-threshold only the dirtied cells; return occupancy-flipped cells."""
-        flipped: List[Tuple[int, int]] = []
-        for (row, col) in dirty:
-            count = int(self._counts[row, col])
-            new_value = float(count) if count >= self._threshold else 0.0
-            old_value = self._obst[row, col]
-            if (new_value > 0.0) != (old_value > 0.0):
-                flipped.append((row, col))
-            self._obst[row, col] = new_value
-        if flipped:
-            rows = np.array([rc[0] for rc in flipped])
-            cols = np.array([rc[1] for rc in flipped])
-            self._obst_mask[rows, cols] = self._obst[rows, cols] > 0.0
+        counts = self._counts.reshape(-1)[dirty]
+        occupied = counts >= self._threshold
+        mask = self._obst_mask.reshape(-1)
+        flipped = dirty[occupied != mask[dirty]]
+        self._obst.reshape(-1)[dirty] = np.where(occupied, counts, 0)
+        mask[dirty] = occupied
         return flipped
 
-    # -- visibility: cached FOV wedges with targeted invalidation ----------------
+    # -- visibility: cached FOV wedges with exact invalidation -------------------
 
     def _update_cameras(
         self,
         model: SfmModel,
-        cloud: PointCloud,
-        added,
-        removed,
-        mask_changed: List[Tuple[int, int]],
+        added: _Points,
+        removed: _Points,
+        flipped: np.ndarray,
     ) -> Tuple[int, int, int]:
-        spec = self._spec
         current_ids = {camera.photo_id for camera in model.cameras}
 
         # Cameras that left the model (defensive; does not happen in the
@@ -309,48 +288,18 @@ class IncrementalMapEngine:
         for photo_id in [pid for pid in self._cameras if pid not in current_ids]:
             self._retire_camera(photo_id)
 
-        # (a) obstacle-dirt rule: any occupancy-flipped cell within reach
-        # invalidates the wedge — rays may now stop earlier or reach
-        # farther. Strictly conservative: the wedge is a subset of the
-        # disc of radius max_range (+ margin) around the camera.
-        obstacle_stale: Set[int] = set()
-        if mask_changed and self._cameras:
-            reach = self._max_range + _REACH_MARGIN_CELLS * spec.cell_size_m
-            centers = np.array(
-                [
-                    (
-                        spec.origin_x + (c + 0.5) * spec.cell_size_m,
-                        spec.origin_y + (r + 0.5) * spec.cell_size_m,
-                    )
-                    for r, c in mask_changed
-                ]
-            )
-            cam_ids = list(self._cameras)
-            cam_xy = np.array(
-                [(self._cameras[pid].x, self._cameras[pid].y) for pid in cam_ids]
-            )
-            d2 = (
-                (cam_xy[:, None, 0] - centers[None, :, 0]) ** 2
-                + (cam_xy[:, None, 1] - centers[None, :, 1]) ** 2
-            )
-            hit = (d2 <= reach * reach).any(axis=1)
-            obstacle_stale = {pid for pid, h in zip(cam_ids, hit) if h}
+        # (a) obstacle rule: a ray stops at its first obstacle and that
+        # cell is in the wedge, so an occupancy flip can change a wedge
+        # only if the flipped cell lies inside it.
+        is_flipped = np.zeros(self._obst_mask.size, dtype=bool)
+        is_flipped[flipped] = True
 
         # (b) information rule: cameras whose observed-point sets intersect
         # changed cloud features may have different clip ranges.
         range_stale: Set[int] = set()
         if self._clip:
-            for fid, _pos in added:
+            for fid in np.concatenate([added[0], removed[0]]).tolist():
                 range_stale.update(self._feature_cams.get(fid, ()))
-            for fid, _pos in removed:
-                range_stale.update(self._feature_cams.get(fid, ()))
-
-        ids_sorted = np.zeros(0, dtype=int)
-        xy_sorted = np.zeros((0, 2))
-        if self._clip:
-            order = np.argsort(cloud.feature_ids)
-            ids_sorted = cloud.feature_ids[order]
-            xy_sorted = cloud.floor_xy()[order]
 
         refreshed = 0
         reused = 0
@@ -359,19 +308,18 @@ class IncrementalMapEngine:
             entry = self._cameras.get(camera.photo_id)
             key = self._camera_key(camera)
             if entry is None:
-                self._admit_camera(camera, key, ids_sorted, xy_sorted)
+                self._admit_camera(camera, key)
                 n_new += 1
                 continue
             if entry.key != key or entry.observed_ref is not camera.observed_feature_ids:
                 # Pose/intrinsics/observations changed: full refresh.
                 self._retire_camera(camera.photo_id)
-                self._admit_camera(camera, key, ids_sorted, xy_sorted)
+                self._admit_camera(camera, key)
                 refreshed += 1
                 continue
-            pid = camera.photo_id
-            needs_mask = pid in obstacle_stale
-            if pid in range_stale:
-                ranges = self._ranges_for(camera, ids_sorted, xy_sorted)
+            needs_mask = flipped.size > 0 and bool(is_flipped[entry.cells].any())
+            if camera.photo_id in range_stale:
+                ranges = self._ranges_for(camera)
                 if not np.array_equal(ranges, entry.ranges):
                     entry.ranges = ranges
                     needs_mask = True
@@ -386,13 +334,15 @@ class IncrementalMapEngine:
         pose = camera.pose
         return (pose.position.x, pose.position.y, pose.yaw_rad, camera.hfov_rad)
 
-    def _ranges_for(self, camera, ids_sorted, xy_sorted):
+    def _ranges_for(self, camera):
         if not self._clip:
             return None
-        return sector_information_ranges(camera, ids_sorted, xy_sorted, self._max_range)
+        return sector_information_ranges(
+            camera, self._ids, self._xyz[:, :2], self._max_range
+        )
 
     def _wedge_cells(self, camera: RecoveredCamera, ranges) -> np.ndarray:
-        mask = camera_visible_cells(
+        return visible_cell_indices(
             self._spec,
             self._obst_mask,
             camera.pose.position.x,
@@ -402,58 +352,46 @@ class IncrementalMapEngine:
             self._max_range,
             ray_ranges_m=ranges,
         )
-        return np.flatnonzero(mask.ravel())
 
-    def _admit_camera(self, camera, key, ids_sorted, xy_sorted) -> None:
-        ranges = self._ranges_for(camera, ids_sorted, xy_sorted)
+    def _admit_camera(self, camera, key) -> None:
+        ranges = self._ranges_for(camera)
         cells = self._wedge_cells(camera, ranges)
         self._vis.reshape(-1)[cells] += 1.0
-        self._cov_dirty.update(cells.tolist())
+        self._cov_dirty.append(cells)
         self._cameras[camera.photo_id] = _CameraEntry(
-            key,
-            camera.observed_feature_ids,
-            ranges,
-            cells,
-            camera.pose.position.x,
-            camera.pose.position.y,
+            key, camera.observed_feature_ids, ranges, cells
         )
         if self._clip and camera.observed_feature_ids is not None:
             pid = camera.photo_id
-            for fid in camera.observed_feature_ids:
-                self._feature_cams.setdefault(int(fid), set()).add(pid)
+            for fid in np.asarray(camera.observed_feature_ids).tolist():
+                self._feature_cams.setdefault(fid, set()).add(pid)
 
     def _retire_camera(self, photo_id: int) -> None:
         entry = self._cameras.pop(photo_id)
         self._vis.reshape(-1)[entry.cells] -= 1.0
-        self._cov_dirty.update(entry.cells.tolist())
+        self._cov_dirty.append(entry.cells)
         if self._clip and entry.observed_ref is not None:
-            for fid in entry.observed_ref:
-                observers = self._feature_cams.get(int(fid))
+            for fid in np.asarray(entry.observed_ref).tolist():
+                observers = self._feature_cams.get(fid)
                 if observers is not None:
                     observers.discard(photo_id)
                     if not observers:
-                        del self._feature_cams[int(fid)]
+                        del self._feature_cams[fid]
 
     def _refresh_wedge(self, camera, entry: _CameraEntry) -> None:
         new_cells = self._wedge_cells(camera, entry.ranges)
-        changed = np.setxor1d(entry.cells, new_cells, assume_unique=True)
-        if changed.size == 0:
+        if np.array_equal(new_cells, entry.cells):
             return
         vis = self._vis.reshape(-1)
         vis[entry.cells] -= 1.0
         vis[new_cells] += 1.0
+        self._cov_dirty += [entry.cells, new_cells]
         entry.cells = new_cells
-        self._cov_dirty.update(changed.tolist())
 
     # -- coverage: dirty-region union maintenance --------------------------------
 
-    def _update_coverage(self, mask_changed: List[Tuple[int, int]]) -> None:
-        n_cols = self._spec.n_cols
-        for row, col in mask_changed:
-            self._cov_dirty.add(row * n_cols + col)
-        if not self._cov_dirty:
-            return
-        idx = np.fromiter(self._cov_dirty, dtype=np.int64, count=len(self._cov_dirty))
+    def _update_coverage(self, flipped: np.ndarray) -> None:
+        idx = np.unique(np.concatenate([flipped, *self._cov_dirty]))
         self._cov_dirty.clear()
         obst, vis = self._obst.reshape(-1), self._vis.reshape(-1)
         covered = (obst[idx] > 0.0) | (vis[idx] > 0.0)
@@ -467,7 +405,8 @@ class IncrementalMapEngine:
 
     def _reset(self) -> None:
         spec = self._spec
-        self._applied: Dict[int, Tuple[float, float, float]] = {}
+        self._ids = np.zeros(0, dtype=np.int64)  # applied cloud, sorted by id
+        self._xyz = np.zeros((0, 3))
         self._counts = np.zeros(spec.shape, dtype=np.int64)
         self._obst = np.zeros(spec.shape, dtype=float)
         self._obst_mask = np.zeros(spec.shape, dtype=bool)
@@ -476,4 +415,4 @@ class IncrementalMapEngine:
         self._covered_cells = 0
         self._cameras: Dict[int, _CameraEntry] = {}
         self._feature_cams: Dict[int, Set[int]] = {}
-        self._cov_dirty: Set[int] = set()
+        self._cov_dirty: List[np.ndarray] = []

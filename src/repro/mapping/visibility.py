@@ -61,6 +61,35 @@ def camera_visible_cells(
 ) -> np.ndarray:
     """Boolean mask of cells covered by one camera, clipped by obstacles.
 
+    The mask view of :func:`visible_cell_indices` (same arguments).
+    """
+    cells = visible_cell_indices(
+        spec,
+        obstacle_mask,
+        position_x,
+        position_y,
+        yaw_rad,
+        hfov_rad,
+        max_range_m,
+        ray_ranges_m,
+    )
+    mask = np.zeros(spec.shape, dtype=bool)
+    mask.reshape(-1)[cells] = True
+    return mask
+
+
+def visible_cell_indices(
+    spec: GridSpec,
+    obstacle_mask: np.ndarray,
+    position_x: float,
+    position_y: float,
+    yaw_rad: float,
+    hfov_rad: float,
+    max_range_m: float,
+    ray_ranges_m: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Sorted flat indices of the cells covered by one camera.
+
     ``ray_ranges_m`` optionally limits each ray individually (information
     clipping); rays are spread uniformly across the FOV. Vectorised ray
     marching: all rays advance in lockstep along radial steps; a ray is
@@ -85,26 +114,25 @@ def camera_visible_cells(
     cols = np.floor((xs - spec.origin_x) / cell).astype(int)
     rows = np.floor((ys - spec.origin_y) / cell).astype(int)
     in_bounds = (rows >= 0) & (rows < spec.n_rows) & (cols >= 0) & (cols < spec.n_cols)
+    flat = rows * spec.n_cols + cols
+    blocked = obstacle_mask.reshape(-1)[np.where(in_bounds, flat, 0)] & in_bounds
 
-    rows_c = np.clip(rows, 0, spec.n_rows - 1)
-    cols_c = np.clip(cols, 0, spec.n_cols - 1)
-    blocked = obstacle_mask[rows_c, cols_c] & in_bounds
-
-    # A step is visible while no *previous* step on its ray was blocked;
+    # A step is visible up to and including its ray's first blocked step;
     # the blocking obstacle cell itself is visible (you can see the wall).
-    prev_blocked = np.zeros_like(blocked)
-    prev_blocked[:, 1:] = np.cumsum(blocked[:, :-1], axis=1) > 0
-    visible = in_bounds & within & ~prev_blocked
-
-    mask = np.zeros(spec.shape, dtype=bool)
-    mask[rows_c[visible], cols_c[visible]] = True
+    first_block = np.where(blocked.any(axis=1), blocked.argmax(axis=1), n_steps)
+    cells = flat[in_bounds & within & (np.arange(n_steps) <= first_block[:, None])]
 
     # The camera's own cell is covered if it is in bounds.
     col0 = int(math.floor((position_x - spec.origin_x) / cell))
     row0 = int(math.floor((position_y - spec.origin_y) / cell))
     if 0 <= row0 < spec.n_rows and 0 <= col0 < spec.n_cols:
-        mask[row0, col0] = True
-    return mask
+        cells = np.append(cells, row0 * spec.n_cols + col0)
+    # Sort, then drop repeats: numpy 2's np.unique hashes integer input,
+    # which is several times slower on arrays of this size.
+    cells.sort()
+    first = np.ones(cells.size, dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    return cells[first]
 
 
 def sector_information_ranges(
@@ -185,7 +213,7 @@ def calculate_visibility_map(
             ray_ranges = sector_information_ranges(
                 camera, cloud_ids_sorted, cloud_xy_sorted, max_range_m
             )
-        mask = camera_visible_cells(
+        cells = visible_cell_indices(
             spec,
             obstacle_mask,
             camera.pose.position.x,
@@ -195,7 +223,7 @@ def calculate_visibility_map(
             max_range_m,
             ray_ranges_m=ray_ranges,
         )
-        all_fields.data[mask] += 1.0
+        all_fields.data.reshape(-1)[cells] += 1.0
     return all_fields
 
 

@@ -143,8 +143,8 @@ def _skip_map_dirty_marking():
     """Cloud deltas stop dirtying their map columns.
 
     Added and removed points still move the engine's per-cell column
-    counts, but the touched (row, col) cells are never re-thresholded
-    into the obstacles map — the incremental map drifts from the
+    counts, but the touched cells are never re-thresholded into the
+    obstacles map — the incremental map drifts from the
     Algorithm 2+3 from-scratch rebuild, which the checkpointed
     map-oracle invariant detects cell-exactly.
     """
@@ -152,12 +152,38 @@ def _skip_map_dirty_marking():
 
     def factory(original):
         def _apply_cloud_delta(self, added, removed):
-            original(self, added, removed)
-            return set()  # swallow the dirty-cell bookkeeping
+            # Swallow the dirty-cell bookkeeping.
+            return original(self, added, removed)[:0]
 
         return _apply_cloud_delta
 
     return _patched(IncrementalMapEngine, "_apply_cloud_delta", factory)
+
+
+# ----------------------------------------------------------------------
+# skip-wedge-invalidation: cached camera wedges ignore obstacle flips
+# ----------------------------------------------------------------------
+
+
+def _skip_wedge_invalidation():
+    """The wedge cache is told that no obstacle cell flipped.
+
+    The obstacles map itself stays exact, but a wall that appears inside
+    (or vanishes from) a cached camera wedge no longer clips (or extends)
+    its rays: the visibility map keeps counting cells the camera can no
+    longer see — the stale-cache bug the exact invalidation rule exists
+    to prevent. The checkpointed map-oracle invariant compares the
+    visibility map with the Algorithm 3 rebuild and fails the run there.
+    """
+    from ..mapping.incremental import IncrementalMapEngine
+
+    def factory(original):
+        def _update_cameras(self, model, added, removed, flipped):
+            return original(self, model, added, removed, flipped[:0])
+
+        return _update_cameras
+
+    return _patched(IncrementalMapEngine, "_update_cameras", factory)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +234,12 @@ MUTATIONS: Dict[str, Mutation] = {
             description="incremental map engine stops dirtying changed columns",
             expected_invariant="map-oracle-exactness",
             patch=_skip_map_dirty_marking,
+        ),
+        Mutation(
+            name="skip-wedge-invalidation",
+            description="cached camera wedges ignore obstacle-occupancy flips",
+            expected_invariant="map-oracle-exactness",
+            patch=_skip_wedge_invalidation,
         ),
         Mutation(
             name="skip-admission-bound",

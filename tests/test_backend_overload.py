@@ -366,6 +366,7 @@ class TestAdmissionMutation:
             "skip-batch-dedupe",
             "leak-completed-lease",
             "skip-map-dirty-marking",
+            "skip-wedge-invalidation",
             "skip-admission-bound",
             "skip-digest-verify",
         }

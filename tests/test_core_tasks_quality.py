@@ -157,3 +157,22 @@ class TestFindUnvisited:
         spec, obstacles, visibility = maps_with_hole()
         region = unvisited_region_at(obstacles, visibility, Vec2(1, 1), cap_cells=50)
         assert region == []
+
+    def test_region_at_rejects_maps_on_different_specs(self):
+        """Same shape, shifted origin: the maps must not be read as one."""
+        spec, obstacles, visibility = maps_with_hole()
+        shifted = Grid2D(
+            GridSpec(spec.origin_x + 1.0, spec.origin_y, spec.cell_size_m,
+                     spec.n_rows, spec.n_cols),
+            visibility.data,
+        )
+        with pytest.raises(TaskGenerationError, match="different grid specs"):
+            unvisited_region_at(obstacles, shifted, Vec2(9, 6), cap_cells=50)
+
+    def test_region_at_rejects_wrong_shaped_site_mask(self):
+        spec, obstacles, visibility = maps_with_hole()
+        site = np.ones((spec.n_rows + 1, spec.n_cols), dtype=bool)
+        with pytest.raises(TaskGenerationError, match="site mask"):
+            unvisited_region_at(obstacles, visibility, Vec2(9, 6), site_mask=site)
+        with pytest.raises(TaskGenerationError, match="site mask"):
+            find_unvisited(obstacles, visibility, Vec2(1, 1), 1, site_mask=site)

@@ -72,6 +72,7 @@ class TestMutationLoop:
     CAUGHT_HERE = (
         "skip-batch-dedupe",
         "skip-map-dirty-marking",
+        "skip-wedge-invalidation",
         "leak-completed-lease",
     )
 

@@ -9,9 +9,12 @@ the from-scratch functions — not "close enough". This suite enforces it:
   obstacles / visibility grid and covered-cell count the pipeline emitted
   is compared against an independent from-scratch rebuild;
 * targeted delta scenarios (camera re-observation, SOR point churn,
-  obstacle appearance inside cached wedges, glass-wall imprint recovery
-  via artificial features, annotation write-off) are driven through the
-  engine directly;
+  obstacle appearance inside and outside cached wedges, glass-wall
+  imprint recovery via artificial features, annotation write-off) and
+  seeded add / remove / move sequences are driven through the engine
+  directly, and after every update each cached camera wedge must equal a
+  fresh ray march against the current obstacles;
+* unsorted and duplicate-id clouds exercise the columnar cloud diff;
 * the ``full_rebuild`` escape hatch is proven to be behaviour-preserving.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.camera import GALAXY_S7, CameraPose
 from repro.core.tasks import TaskKind
@@ -28,6 +32,7 @@ from repro.mapping import (
     IncrementalMapEngine,
     calculate_obstacles_map,
     calculate_visibility_map,
+    camera_visible_cells,
 )
 from repro.core.pipeline import SnapTaskPipeline
 from repro.errors import MappingError
@@ -62,6 +67,25 @@ def assert_cell_exact(update, model, spec, threshold=4, max_range=5.0, site_mask
     if site_mask is not None:
         covered = covered & site_mask
     assert update.covered_cells == int(covered.sum())
+
+
+def assert_wedges_exact(engine, max_range=5.0):
+    """Every cached wedge equals a fresh ray march against today's obstacles.
+
+    The exact invalidation rule refreshes a wedge only when an occupancy
+    flip lands inside it; a wedge the rule wrongly kept would differ here.
+    """
+    obstacle_mask = engine.maps().obstacles.nonzero_mask()
+    for photo_id, entry in engine._cameras.items():  # noqa: SLF001
+        x, y, yaw, hfov = entry.key
+        fresh = camera_visible_cells(
+            engine.spec, obstacle_mask, x, y, yaw, hfov, max_range,
+            ray_ranges_m=entry.ranges,
+        )
+        np.testing.assert_array_equal(
+            entry.cells, np.flatnonzero(fresh),
+            err_msg=f"stale cached wedge for camera {photo_id}",
+        )
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +129,7 @@ class TestSyntheticDeltas:
             model = SfmModel(PointCloud(cloud), cameras)
             update = engine.update(model)
             assert_cell_exact(update, model, spec, site_mask=site_mask)
+            assert_wedges_exact(engine)
             updates.append(update)
         return updates
 
@@ -176,6 +201,21 @@ class TestSyntheticDeltas:
         assert updates[0].maps.visibility.data[behind] > 0
         assert updates[1].maps.visibility.data[behind] == 0
 
+    def test_unobserved_obstacle_inside_wedge_invalidates(self):
+        """The camera's clip ranges do not change (it observed none of the
+        new wall), so only the obstacle rule can refresh its wedge."""
+        spec = small_spec()
+        far_wall = wall_points(0, 9.0, 3.0, 5.0)
+        near_wall = wall_points(20_000, 5.0, 3.0, 5.0)
+        cam = make_camera(1, 3.0, 4.0, 0.0, [p.feature_id for p in far_wall])
+        updates = self.check_sequence(
+            spec, [(far_wall, [cam]), (far_wall + near_wall, [cam])]
+        )
+        assert updates[1].cameras_refreshed == 1
+        behind = spec.cell_of(Vec2(7.0, 4.0))
+        assert updates[0].maps.visibility.data[behind] > 0
+        assert updates[1].maps.visibility.data[behind] == 0
+
     def test_obstacle_vanishing_restores_visibility(self):
         """The inverse: removing a blocking wall re-extends cached rays."""
         spec = small_spec()
@@ -190,6 +230,21 @@ class TestSyntheticDeltas:
         behind = spec.cell_of(Vec2(7.0, 4.0))
         assert updates[0].maps.visibility.data[behind] == 0
         assert updates[1].maps.visibility.data[behind] > 0
+
+    def test_obstacle_outside_wedge_keeps_it_cached(self):
+        """A wall inside the camera's reach but behind it cannot touch any
+        of its rays, so the cached wedge is reused, not recomputed."""
+        spec = small_spec()
+        far_wall = wall_points(0, 6.0, 2.0, 6.0)
+        back_wall = wall_points(20_000, 1.5, 3.0, 5.0)
+        cam = make_camera(1, 3.0, 4.0, 0.0, [p.feature_id for p in far_wall])
+        updates = self.check_sequence(
+            spec, [(far_wall, [cam]), (far_wall + back_wall, [cam])]
+        )
+        back_cell = spec.cell_of(Vec2(1.5, 4.0))
+        assert updates[1].maps.obstacles.data[back_cell] > 0
+        assert updates[1].cameras_reused == 1
+        assert updates[1].cameras_refreshed == 0
 
     def test_glass_wall_imprint_recovery(self):
         """Artificial-texture points (Algorithm 6) arriving late must
@@ -251,6 +306,126 @@ class TestSyntheticDeltas:
             assert a.covered_cells == b.covered_cells
 
 
+class TestColumnarCloudDiff:
+    """The applied cloud is kept as sorted id / xyz columns."""
+
+    def states(self):
+        wall_a = wall_points(0, 6.0, 2.0, 6.0)
+        wall_b = wall_points(10_000, 9.0, 2.0, 6.0)
+        moved = [CloudPoint(p.feature_id, p.x - 0.5, p.y, p.z, 3) for p in wall_b[:40]]
+        cam1 = make_camera(1, 3.0, 4.0, 0.0, [p.feature_id for p in wall_a])
+        cam2 = make_camera(2, 3.0, 5.0, 0.2, [p.feature_id for p in wall_b])
+        return [
+            (wall_a, [cam1]),
+            (wall_a + wall_b, [cam1, cam2]),
+            (wall_a[5:] + moved + wall_b[40:], [cam1, cam2]),
+        ]
+
+    def test_unsorted_cloud_matches_sorted(self):
+        spec = small_spec()
+        rng = np.random.default_rng(7)
+        ordered, shuffled = IncrementalMapEngine(spec), IncrementalMapEngine(spec)
+        for cloud, cameras in self.states():
+            permuted = [cloud[i] for i in rng.permutation(len(cloud))]
+            a = ordered.update(SfmModel(PointCloud(cloud), cameras))
+            b = shuffled.update(SfmModel(PointCloud(permuted), cameras))
+            assert_cell_exact(b, SfmModel(PointCloud(cloud), cameras), spec)
+            np.testing.assert_array_equal(a.maps.obstacles.data, b.maps.obstacles.data)
+            np.testing.assert_array_equal(a.maps.visibility.data, b.maps.visibility.data)
+            for field in (
+                "covered_cells", "points_added", "points_removed", "cameras_added",
+                "cameras_refreshed", "cameras_reused", "dirty_obstacle_cells",
+                "full_rebuild",
+            ):
+                assert getattr(a, field) == getattr(b, field), field
+            assert_wedges_exact(shuffled)
+        assert shuffled.n_applied_points == ordered.n_applied_points
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_duplicate_feature_ids_rejected(self, shuffle):
+        wall = wall_points(0, 6.0, 2.0, 6.0)
+        cloud = wall + [CloudPoint(wall[3].feature_id, 7.0, 4.0, 1.0, 3)]
+        if shuffle:
+            cloud = cloud[::-1]
+        engine = IncrementalMapEngine(small_spec())
+        with pytest.raises(MappingError, match="duplicate feature ids"):
+            engine.update(SfmModel(PointCloud(cloud), []))
+
+
+def random_state(rng, walls, next_fid):
+    """Seeded walls appear, vanish and move; cameras observe some of them."""
+    for key in list(walls):
+        roll = rng.random()
+        if roll < 0.25:
+            del walls[key]
+        elif roll < 0.5:
+            fid0, _x, y0, y1 = walls[key]
+            walls[key] = (fid0, float(rng.uniform(0.5, 11.5)), y0, y1)
+    for _ in range(int(rng.integers(0, 3))):
+        y0 = float(rng.uniform(0.5, 10.0))
+        walls[next_fid] = (next_fid, float(rng.uniform(0.5, 11.5)), y0, y0 + rng.uniform(0.3, 2.0))
+        next_fid += 1000
+    cloud = [p for wall in walls.values() for p in wall_points(*wall)]
+    ids = [p.feature_id for p in cloud]
+    cameras = []
+    for pid in range(int(rng.integers(1, 5))):
+        x, y = rng.uniform(0.5, 11.5, 2)
+        yaw = float(rng.uniform(-np.pi, np.pi))
+        if rng.random() < 0.5:
+            observed = rng.permutation(ids)[: rng.integers(0, len(ids) + 1)]
+            cameras.append(make_camera(pid, float(x), float(y), yaw, observed))
+        else:
+            # No observations: an unclipped wedge that only obstacles shape.
+            cameras.append(
+                RecoveredCamera(
+                    photo_id=pid,
+                    pose=CameraPose.at(float(x), float(y), yaw),
+                    intrinsics=GALAXY_S7,
+                    n_inliers=100,
+                    observed_feature_ids=None,
+                )
+            )
+    return cloud, cameras, next_fid
+
+
+def reference_diff_sizes(applied, cloud):
+    """(added, removed) counts of the per-point dict diff the columnar
+    ``searchsorted`` merge replaced; ``applied`` becomes ``cloud``."""
+    new = {p.feature_id: (p.x, p.y, p.z) for p in cloud}
+    added = sum(1 for fid, pos in new.items() if applied.get(fid) != pos)
+    removed = sum(1 for fid, pos in applied.items() if new.get(fid) != pos)
+    applied.clear()
+    applied.update(new)
+    return added, removed
+
+
+class TestSeededDeltaSequences:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
+    def test_maps_and_wedges_exact_after_every_delta(self, seed, steps):
+        spec = small_spec()
+        rng = np.random.default_rng(seed)
+        engine = IncrementalMapEngine(spec)
+        applied: dict = {}
+        walls: dict = {}
+        next_fid = 0
+        cameras: list = []
+        for _ in range(steps):
+            cloud, fresh, next_fid = random_state(rng, walls, next_fid)
+            # Keep some cameras (same observed-ids object) so their wedges
+            # are cached across deltas; replace the rest.
+            keep = cameras[: len(cameras) // 2]
+            kept_ids = {c.photo_id for c in keep}
+            cameras = keep + [c for c in fresh if c.photo_id not in kept_ids]
+            model = SfmModel(PointCloud(cloud), cameras)
+            update = engine.update(model)
+            assert_cell_exact(update, model, spec)
+            assert_wedges_exact(engine)
+            assert (update.points_added, update.points_removed) == (
+                reference_diff_sizes(applied, cloud)
+            )
+
+
 # --------------------------------------------------------------------------
 # The fig10 guided campaign, replayed batch-by-batch
 # --------------------------------------------------------------------------
@@ -293,6 +468,21 @@ class TestGuidedCampaignEquivalence:
             assert outcome.coverage_cells == int(covered.sum()), (
                 f"covered-cell count diverged at iteration {outcome.iteration}"
             )
+
+    def test_cached_wedges_exact_after_every_batch(self, guided_replay):
+        """Replayed through a fresh engine, no batch leaves a stale wedge."""
+        bench, pipeline, _run = guided_replay
+        max_range = bench.config.sfm.visibility_range_m
+        engine = IncrementalMapEngine(
+            bench.spec,
+            obstacle_threshold=bench.config.tasks.obstacle_threshold,
+            max_range_m=max_range,
+            site_mask=bench.ground_truth.region_mask,
+        )
+        for outcome in pipeline.history:
+            update = engine.update(outcome.model)
+            assert update.covered_cells == outcome.coverage_cells
+            assert_wedges_exact(engine, max_range)
 
     def test_campaign_exercised_the_delta_paths(self, guided_replay):
         """Guard against a vacuous oracle: the campaign must actually hit

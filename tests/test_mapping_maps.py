@@ -1,7 +1,10 @@
 """Tests for obstacle/visibility maps, coverage and the bounds metric."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import BoundingBox, Vec2
 from repro.mapping import (
@@ -16,7 +19,12 @@ from repro.mapping import (
     score_against_ground_truth,
     wall_covered_length,
 )
-from repro.mapping.visibility import sector_information_ranges
+from repro.mapping.visibility import (
+    _RAY_DENSITY,
+    _resample_ranges,
+    sector_information_ranges,
+    visible_cell_indices,
+)
 from repro.sfm import PointCloud, SfmModel
 from repro.sfm.model import RecoveredCamera
 from repro.sfm.pointcloud import CloudPoint
@@ -77,7 +85,73 @@ def make_camera(photo_id, x, y, yaw, observed=None):
     )
 
 
+def reference_visible_cells(
+    spec, obstacle_mask, position_x, position_y, yaw_rad, hfov_rad, max_range_m,
+    ray_ranges_m=None,
+):
+    """The full-grid ray march: clipped 2-D gathers, a running block count
+    per ray and a boolean mask. The reference for the flat-index kernel."""
+    cell = spec.cell_size_m
+    n_steps = max(1, int(math.ceil(max_range_m / (cell * 0.5))))
+    n_rays = max(3, int(math.ceil((hfov_rad * max_range_m) / cell * _RAY_DENSITY)))
+    angles = yaw_rad + np.linspace(-hfov_rad / 2.0, hfov_rad / 2.0, n_rays)
+    radii = (np.arange(1, n_steps + 1) * (cell * 0.5)).reshape(1, -1)
+    if ray_ranges_m is not None:
+        limits = _resample_ranges(ray_ranges_m, n_rays).reshape(-1, 1)
+    else:
+        limits = np.full((n_rays, 1), max_range_m)
+    xs = position_x + np.cos(angles).reshape(-1, 1) * radii
+    ys = position_y + np.sin(angles).reshape(-1, 1) * radii
+    cols = np.floor((xs - spec.origin_x) / cell).astype(int)
+    rows = np.floor((ys - spec.origin_y) / cell).astype(int)
+    in_bounds = (rows >= 0) & (rows < spec.n_rows) & (cols >= 0) & (cols < spec.n_cols)
+    rows_c = np.clip(rows, 0, spec.n_rows - 1)
+    cols_c = np.clip(cols, 0, spec.n_cols - 1)
+    blocked = obstacle_mask[rows_c, cols_c] & in_bounds
+    prev_blocked = np.zeros_like(blocked)
+    prev_blocked[:, 1:] = np.cumsum(blocked[:, :-1], axis=1) > 0
+    visible = in_bounds & (radii <= limits) & ~prev_blocked
+    mask = np.zeros(spec.shape, dtype=bool)
+    mask[rows_c[visible], cols_c[visible]] = True
+    col0 = int(math.floor((position_x - spec.origin_x) / cell))
+    row0 = int(math.floor((position_y - spec.origin_y) / cell))
+    if 0 <= row0 < spec.n_rows and 0 <= col0 < spec.n_cols:
+        mask[row0, col0] = True
+    return mask
+
+
 class TestVisibilityMap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cell=st.sampled_from([0.1, 0.15, 0.25]),
+        n_rows=st.integers(1, 60),
+        n_cols=st.integers(1, 60),
+        density=st.sampled_from([0.0, 0.03, 0.15, 0.5, 1.0]),
+        clipped=st.booleans(),
+    )
+    def test_flat_indices_match_reference_ray_march(
+        self, seed, cell, n_rows, n_cols, density, clipped
+    ):
+        """Cameras inside and outside the grid, any yaw, FOV and range."""
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)), cell, n_rows, n_cols)
+        mask = rng.random(spec.shape) < density
+        args = (
+            spec,
+            mask,
+            spec.origin_x + float(rng.uniform(-2, n_cols * cell + 2)),
+            spec.origin_y + float(rng.uniform(-2, n_rows * cell + 2)),
+            float(rng.uniform(-7, 7)),
+            float(rng.uniform(0.01, 3.5)),
+            float(rng.uniform(0.05, 8.0)),
+            rng.uniform(0, 9, int(rng.integers(1, 12))) if clipped else None,
+        )
+        expected = reference_visible_cells(*args)
+        cells = visible_cell_indices(*args)
+        np.testing.assert_array_equal(cells, np.flatnonzero(expected))
+        np.testing.assert_array_equal(camera_visible_cells(*args), expected)
+
     def test_wedge_blocked_by_obstacle(self):
         spec = small_spec()
         obstacles = Grid2D(spec)
