@@ -2,13 +2,17 @@
 
 The three campaigns (guided / unguided / opportunistic) are expensive, so
 they run once per session and are shared by every figure/table bench.
-Each bench writes the rows it regenerates to ``benchmarks/results/`` so
-the paper-vs-measured comparison in EXPERIMENTS.md can be refreshed from
-the files.
+Each full bench run writes the rows it regenerates to
+``benchmarks/results/`` so the paper-vs-measured comparison in
+EXPERIMENTS.md can be refreshed from the files. A smoke run
+(``REPRO_BENCH_SMOKE=1``) writes them to a temporary directory instead:
+its shortened campaigns must never overwrite the committed documents
+that CI validates.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -24,7 +28,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir():
+def results_dir(tmp_path_factory):
+    if os.environ.get("REPRO_BENCH_SMOKE") == "1":
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

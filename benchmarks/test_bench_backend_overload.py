@@ -20,7 +20,7 @@ no ``None``). Results land in ``overload_backend.txt`` (human-readable)
 and ``BENCH_backend.json`` (``repro.bench.backend/v1``, CI-validated).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): a shorter horizon,
-same sweep, same artefacts.
+same sweep, same artefacts, written to a temporary directory.
 """
 
 import copy
@@ -28,7 +28,7 @@ import os
 
 from repro.config import paper_config
 from repro.eval import Workbench
-from repro.obs.bench import write_bench_backend
+from repro.obs.bench import BENCH_BACKEND_SCHEMA, write_bench
 from repro.obs.wallclock import wall_now_s
 from repro.persist.fastcopy import fast_deepcopy
 from repro.persist.snapshot import structural_size
@@ -161,8 +161,9 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
         "checkpoint_fastcopy_ms": round(fastcopy_s * 1e3, 3),
         "checkpoint_copy_speedup": round(copy_speedup, 3),
     }
-    write_bench_backend(
+    write_bench(
         results_dir / "BENCH_backend.json",
+        BENCH_BACKEND_SCHEMA,
         rows,
         summary,
         campaign={

@@ -5,7 +5,8 @@ Runs the same fuzz batch twice — ``jobs=1`` (the serial loop) and
 per-worker busy time, and the byte-equality of the two summaries in
 ``BENCH_dst.json`` (``repro.bench.dst/v1``, CI-validated).
 
-Two speedups are recorded (see ``bench_dst_document``):
+Two speedups are recorded (see the ``BENCH_DST_SCHEMA`` entry of
+``repro.obs.bench.SCHEMAS``):
 
 * ``wall_speedup`` — measured serial/parallel wall ratio, which is only
   meaningful when the generating host actually has >= ``jobs`` cores
@@ -18,13 +19,14 @@ Two speedups are recorded (see ``bench_dst_document``):
   coincide; on a 1-core container only the second is attainable.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): fewer campaigns and
-2 workers, same artefacts, no speedup floor.
+2 workers, same artefacts written to a temporary directory, no speedup
+floor.
 """
 
 import json
 import os
 
-from repro.obs.bench import write_bench_dst
+from repro.obs.bench import BENCH_DST_SCHEMA, write_bench
 from repro.obs.wallclock import wall_now_s
 from repro.testkit.executor import ExecutorStats
 from repro.testkit.fuzzer import run_fuzz
@@ -147,8 +149,9 @@ def test_bench_executor_dst(benchmark, results_dir):
         "target_speedup": TARGET_SPEEDUP,
         "byte_identical": byte_identical,
     }
-    write_bench_dst(
+    write_bench(
         results_dir / "BENCH_dst.json",
+        BENCH_DST_SCHEMA,
         runs,
         summary,
         campaign={

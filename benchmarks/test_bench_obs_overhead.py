@@ -21,7 +21,7 @@ import time
 from repro.config import paper_config
 from repro.eval import Workbench
 from repro.obs import Telemetry
-from repro.obs.bench import write_bench_pipeline
+from repro.obs.bench import BENCH_PIPELINE_SCHEMA, phase_rows, write_bench
 from repro.server import Deployment
 
 from .conftest import write_result
@@ -81,9 +81,11 @@ def test_bench_obs_overhead(results_dir):
     ]
     write_result(results_dir, "perf_obs_overhead", "\n".join(rows))
 
-    write_bench_pipeline(
+    write_bench(
         results_dir / "BENCH_pipeline.json",
-        telemetry.metrics,
+        BENCH_PIPELINE_SCHEMA,
+        phase_rows(telemetry.metrics),
+        telemetry.metrics.snapshot(),
         campaign={
             "command": "bench:obs-overhead",
             "clients": N_CLIENTS,

@@ -14,13 +14,13 @@ fewer generations cost at recovery time" number for tuning
 ``--snapshot-retain``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): a smaller venue with
-a shallower ladder, same artefacts, no floor assertions beyond digest
-equality.
+a shallower ladder, same artefacts written to a temporary directory, no
+floor assertions beyond digest equality.
 """
 
 import os
 
-from repro.obs.bench import write_bench_recovery
+from repro.obs.bench import BENCH_RECOVERY_SCHEMA, write_bench
 from repro.obs.wallclock import wall_now_s
 from repro.persist import RecoveryManager, Snapshotter
 from repro.testkit import Scenario
@@ -131,8 +131,9 @@ def test_bench_recovery(benchmark, results_dir):
         "wall_amplification": round(wall_amp, 3),
         "digest_identical": digest_identical,
     }
-    write_bench_recovery(
+    write_bench(
         results_dir / "BENCH_recovery.json",
+        BENCH_RECOVERY_SCHEMA,
         rows,
         summary,
         campaign={

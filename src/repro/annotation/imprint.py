@@ -55,11 +55,6 @@ class ImprintedObject:
     feature_positions: Tuple[Vec3, ...]
     photos_with_texture: Tuple[int, ...]
 
-    @property
-    def reconstructible(self) -> bool:
-        """Needs >= 3 photos for the engine's 3-view triangulation rule."""
-        return len(self.photos_with_texture) >= 3
-
 
 @dataclass(frozen=True)
 class ImprintResult:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..config import CameraConfig
 from ..errors import CaptureError
 
 
@@ -41,19 +40,6 @@ class Intrinsics:
     @property
     def hfov_deg(self) -> float:
         return math.degrees(self.hfov_rad)
-
-    @property
-    def vfov_rad(self) -> float:
-        return 2.0 * math.atan((self.image_height_px / 2.0) / self.focal_length_px)
-
-    @staticmethod
-    def from_config(config: CameraConfig, device_model: str = "sim-phone") -> "Intrinsics":
-        return Intrinsics(
-            device_model=device_model,
-            focal_length_px=config.focal_length_px,
-            image_width_px=config.image_width_px,
-            image_height_px=config.image_height_px,
-        )
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Telemetry
-    from .obs.bench import write_bench_pipeline
+    from .obs.bench import BENCH_PIPELINE_SCHEMA, phase_rows, write_bench
     from .obs.export import write_chrome_trace, write_metrics_json
     from .server import Deployment
 
@@ -122,9 +122,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         telemetry.tracer, out / "trace.json", metrics=telemetry.metrics
     )
     metrics_path = write_metrics_json(telemetry.metrics, out / "metrics.json")
-    bench_path = write_bench_pipeline(
+    bench_path = write_bench(
         out / "BENCH_pipeline.json",
-        telemetry.metrics,
+        BENCH_PIPELINE_SCHEMA,
+        phase_rows(telemetry.metrics),
+        telemetry.metrics.snapshot(),
         campaign={
             "command": "trace",
             "seed": args.seed,

@@ -202,10 +202,6 @@ class SnapTaskPipeline:
         return self._sfm
 
     @property
-    def map_engine(self) -> IncrementalMapEngine:
-        return self._map_engine
-
-    @property
     def full_rebuild(self) -> bool:
         """True when the from-scratch escape hatch is active."""
         return self._full_rebuild

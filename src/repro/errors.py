@@ -28,10 +28,6 @@ class ReconstructionError(ReproError):
     """The SfM simulator was asked to do something impossible."""
 
 
-class RegistrationError(ReconstructionError):
-    """A photo or batch could not be registered into the model."""
-
-
 class MappingError(ReproError):
     """Grid/map construction failure (mismatched extents, empty cloud, ...)."""
 

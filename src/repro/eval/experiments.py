@@ -56,14 +56,6 @@ class GuidedExperimentResult:
     def n_annotation_tasks(self) -> int:
         return len([k for k, _x, _y in self.task_locations if k == "annotation"])
 
-    def mean_precision(self) -> float:
-        rows = [m for m in self.featureless if m.reconstructed_surfaces > 0]
-        return sum(m.precision for m in rows) / len(rows) if rows else 0.0
-
-    def mean_f_score(self) -> float:
-        rows = [m for m in self.featureless if m.reconstructed_surfaces > 0]
-        return sum(m.f_score for m in rows) / len(rows) if rows else 0.0
-
 
 def run_guided_experiment(
     bench: Workbench, max_tasks: int = 60, n_participants: int = 10
@@ -207,16 +199,6 @@ class ComparisonResult:
     guided: GuidedExperimentResult
     unguided: BaselineExperimentResult
     opportunistic: BaselineExperimentResult
-
-    def coverage_gain_over(self, baseline: BaselineExperimentResult) -> float:
-        """Headline delta at matched photo budget: SnapTask coverage minus
-        the baseline's coverage at (at least) the same photo count."""
-        guided_final = self.guided.final
-        budget = guided_final.n_photos
-        candidates = [
-            s for s in baseline.series.samples if s.n_photos >= budget
-        ] or [baseline.series.final]
-        return guided_final.coverage_percent - candidates[0].coverage_percent
 
 
 def run_comparison(bench_factory, max_tasks: int = 60) -> ComparisonResult:

@@ -10,7 +10,7 @@ a spec so different maps of the same venue align cell-for-cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class GridSpec:
 
     def in_bounds(self, row: int, col: int) -> bool:
         return 0 <= row < self.n_rows and 0 <= col < self.n_cols
-
-    def iter_cells(self) -> Iterator[Tuple[int, int]]:
-        for row in range(self.n_rows):
-            for col in range(self.n_cols):
-                yield (row, col)
 
 
 class Grid2D:

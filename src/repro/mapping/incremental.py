@@ -156,10 +156,6 @@ class IncrementalMapEngine:
         return self._covered_cells
 
     @property
-    def n_cached_cameras(self) -> int:
-        return len(self._cameras)
-
-    @property
     def n_applied_points(self) -> int:
         return self._ids.size
 

@@ -63,7 +63,3 @@ def calculate_obstacles_map(
 
     grid.data[:] = np.where(counts >= obstacle_threshold, counts, 0.0)
     return grid
-
-
-def obstacle_cell_count(obstacles: Grid2D) -> int:
-    return obstacles.nonzero_count()

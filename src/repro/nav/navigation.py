@@ -37,10 +37,6 @@ class NavigationOutcome:
     def arrival_error_m(self) -> float:
         return self.requested.distance_to(self.arrived)
 
-    @property
-    def path_length_m(self) -> float:
-        return PathPlanner.path_length(list(self.path))
-
 
 class Navigator:
     """Plans walks and applies arrival positioning error."""

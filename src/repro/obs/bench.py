@@ -1,21 +1,24 @@
-"""``BENCH_pipeline.json``: machine-readable per-phase pipeline timings.
+"""``BENCH_*.json``: the machine-readable benchmark documents.
 
-The benchmark harness historically wrote human-readable ``.txt`` rows to
-``benchmarks/results/``; this writer adds the machine-readable artefact
-the perf trajectory accumulates over: one JSON document per run with the
-Algorithm-1 phase timings (registration, map merge, unvisited flood-fill,
-task generation) pulled from the ``repro.pipeline.phase.*`` histograms,
-campaign-level facts, and the full metrics snapshot.
+Every ``benchmarks/results/BENCH_*.json`` document, and the
+``BENCH_pipeline.json`` that ``repro trace`` writes, has one shape::
 
-The schema is validated in-repo (:func:`validate_bench_pipeline`) — no
-jsonschema dependency — and enforced by CI on every generated document.
+    {"schema": <id>, "generated_at": <UTC ISO time>, "campaign": {...},
+     <rows key>: <rows>, <summary key>: {...}}
+
+:data:`SCHEMAS` holds, per schema id, where the rows and the summary
+live, which of their fields must be numbers, and the checks particular
+to that schema. One builder, one validator, one writer and one loader
+serve every schema; the validator dispatches on the document's
+``schema``. Validation is in-repo (no jsonschema dependency), and CI
+loads every committed document through :func:`load_bench`.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ObservabilityError
 from .wallclock import utc_now_iso
@@ -23,12 +26,17 @@ from .wallclock import utc_now_iso
 PathLike = Union[str, pathlib.Path]
 
 BENCH_PIPELINE_SCHEMA = "repro.bench.pipeline/v1"
+BENCH_SFM_SCHEMA = "repro.bench.sfm/v1"
+BENCH_BACKEND_SCHEMA = "repro.bench.backend/v1"
+BENCH_DST_SCHEMA = "repro.bench.dst/v1"
+BENCH_RECOVERY_SCHEMA = "repro.bench.recovery/v1"
 
 #: Histogram-name prefix the phase table is derived from.
 PHASE_PREFIX = "repro.pipeline.phase."
 
 
-def _phase_rows(registry) -> Dict[str, dict]:
+def phase_rows(registry) -> Dict[str, dict]:
+    """BENCH_pipeline rows: one per ``repro.pipeline.phase.*`` histogram."""
     phases: Dict[str, dict] = {}
     for name in registry.names():
         if not name.startswith(PHASE_PREFIX):
@@ -46,549 +54,247 @@ def _phase_rows(registry) -> Dict[str, dict]:
     return phases
 
 
-def bench_pipeline_document(registry, campaign: Optional[dict] = None) -> dict:
-    """Build the ``BENCH_pipeline.json`` document from a live registry."""
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int(value) -> bool:
+    return isinstance(value, int)
+
+
+_METRIC_TYPES = ("counter", "gauge", "histogram")
+
+
+#: Extra checks on one row or one summary: problem message -> predicate
+#: that is true when the object violates it.
+Checks = Dict[str, Callable[[dict], bool]]
+
+
+class Schema(NamedTuple):
+    """Where one schema keeps its rows and summary, and what it checks."""
+
+    rows_key: str
+    row_fields: Tuple[str, ...]
+    summary_fields: Tuple[str, ...] = ()
+    row_checks: Checks = {}
+    summary_checks: Checks = {}
+    summary_key: str = "summary"
+    #: Rows form an object keyed by name, which may be empty, rather than
+    #: a non-empty list.
+    keyed_rows: bool = False
+
+
+SCHEMAS: Dict[str, Schema] = {
+    # Algorithm-1 phase timings (registration, map merge, unvisited
+    # flood-fill, task generation) from the repro.pipeline.phase.*
+    # histograms, keyed by phase, next to the full metrics snapshot.
+    BENCH_PIPELINE_SCHEMA: Schema(
+        rows_key="phases",
+        row_fields=("count", "total_s", "mean_s", "p50_s", "max_s"),
+        row_checks={
+            "has negative count": lambda r: _number(r.get("count")) and r["count"] < 0,
+        },
+        summary_checks={
+            "hold a metric with no valid type": lambda m: not all(
+                isinstance(snap, dict) and snap.get("type") in _METRIC_TYPES
+                for snap in m.values()
+            ),
+        },
+        summary_key="metrics",
+        keyed_rows=True,
+    ),
+    # Scratch-vs-incremental SfM registration-phase timings, one row per
+    # photo batch.
+    BENCH_SFM_SCHEMA: Schema(
+        rows_key="batches",
+        row_fields=(
+            "batch", "points", "cameras", "pending",
+            "scratch_ms", "incremental_ms", "speedup",
+        ),
+        summary_fields=(
+            "late_from_batch", "late_batches", "late_scratch_ms",
+            "late_incremental_ms", "late_speedup", "target_speedup",
+        ),
+    ),
+    # SfM-lane overload sweep, one row per lane shape. workers=0 encodes
+    # the infinite-server model and queue_limit=-1 an unbounded admission
+    # queue (JSON has no None).
+    BENCH_BACKEND_SCHEMA: Schema(
+        rows_key="rows",
+        row_fields=(
+            "workers", "queue_limit", "sim_time_s", "tasks_completed",
+            "photos_uploaded", "batches_shed", "client_backpressure",
+            "queue_wait_s", "peak_queue_depth", "service_time_s",
+        ),
+        summary_fields=(
+            "rows", "baseline_tasks_completed", "max_queue_wait_s", "total_shed",
+        ),
+        row_checks={
+            "has negative workers": (
+                lambda r: _int(r.get("workers")) and r["workers"] < 0
+            ),
+            "queue_limit below -1": (
+                lambda r: _int(r.get("queue_limit")) and r["queue_limit"] < -1
+            ),
+        },
+    ),
+    # Serial vs sharded fuzz executor, one row per run. wall_speedup is
+    # the measured serial/parallel wall ratio on the generating host;
+    # critical_path_speedup (total worker busy seconds / slowest worker
+    # lane) is the speedup the sharding achieves however many cores that
+    # host had. The two coincide on an unloaded machine with >= jobs
+    # cores, and cpu_count records which regime the document came from.
+    # byte_identical asserts the serial and parallel runs produced
+    # identical summaries.
+    BENCH_DST_SCHEMA: Schema(
+        rows_key="runs",
+        row_fields=("jobs", "wall_s", "campaigns", "passed", "failed", "checks_run"),
+        summary_fields=(
+            "campaigns", "jobs", "cpu_count", "serial_wall_s",
+            "parallel_wall_s", "wall_speedup", "total_busy_s",
+            "critical_path_s", "critical_path_speedup", "target_speedup",
+        ),
+        row_checks={
+            "mode must be 'serial' or 'parallel'": (
+                lambda r: r.get("mode") not in ("serial", "parallel")
+            ),
+        },
+        summary_checks={
+            "field 'byte_identical' not a bool": (
+                lambda s: not isinstance(s.get("byte_identical"), bool)
+            ),
+            "wall_speedup must be positive": (
+                lambda s: _number(s.get("wall_speedup")) and s["wall_speedup"] <= 0
+            ),
+        },
+    ),
+    # Recovery-ladder cost, one row per forced fallback depth (the number
+    # of newest generations damaged before recovery; 0 is the clean
+    # path). replay_amplification is the genesis rung's replay length
+    # over the newest rung's: the price, in replayed records, of falling
+    # all the way down the ladder. wall_amplification is the same ratio
+    # in wall seconds. digest_identical asserts every rung recovered the
+    # same logical state digest, so the ladder trades replay work for
+    # nothing else.
+    BENCH_RECOVERY_SCHEMA: Schema(
+        rows_key="rows",
+        row_fields=(
+            "depth", "snapshot_seq", "generations_tried", "quarantined",
+            "quarantined_bytes", "replayed_records", "wall_s",
+        ),
+        summary_fields=(
+            "generations", "wal_records", "newest_replayed_records",
+            "genesis_replayed_records", "newest_wall_s", "genesis_wall_s",
+            "replay_amplification", "wall_amplification",
+        ),
+        row_checks={
+            "has negative depth": lambda r: _int(r.get("depth")) and r["depth"] < 0,
+            "generations_tried != depth + 1": (
+                lambda r: _int(r.get("depth"))
+                and _int(r.get("generations_tried"))
+                and r["generations_tried"] != r["depth"] + 1
+            ),
+        },
+        summary_checks={
+            "field 'digest_identical' not a bool": (
+                lambda s: not isinstance(s.get("digest_identical"), bool)
+            ),
+            "replay_amplification below 1.0": (
+                lambda s: _number(s.get("replay_amplification"))
+                and s["replay_amplification"] < 1.0
+            ),
+        },
+    ),
+}
+
+
+def bench_document(
+    schema: str, rows, summary: dict, campaign: Optional[dict] = None
+) -> dict:
+    """Build a ``schema`` document from its rows and summary."""
+    spec = SCHEMAS[schema]
     return {
-        "schema": BENCH_PIPELINE_SCHEMA,
+        "schema": schema,
         "generated_at": utc_now_iso(),
         "campaign": dict(campaign or {}),
-        "phases": _phase_rows(registry),
-        "metrics": registry.snapshot(),
+        spec.rows_key: rows,
+        spec.summary_key: summary,
     }
 
 
-def write_bench_pipeline(
-    path: PathLike, registry, campaign: Optional[dict] = None
-) -> pathlib.Path:
-    doc = bench_pipeline_document(registry, campaign)
-    assert_valid_bench_pipeline(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-_PHASE_FIELDS = ("count", "total_s", "mean_s", "p50_s", "max_s")
-
-
-def validate_bench_pipeline(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
+def validate_bench(doc) -> List[str]:
+    """Return the document's schema violations (empty == valid)."""
     if not isinstance(doc, dict):
         return ["document is not an object"]
-    if doc.get("schema") != BENCH_PIPELINE_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_PIPELINE_SCHEMA!r}"
-        )
+    schema = doc.get("schema")
+    spec = SCHEMAS.get(schema) if isinstance(schema, str) else None
+    if spec is None:
+        return [f"schema is {schema!r}, expected one of {sorted(SCHEMAS)}"]
+    problems: List[str] = []
     if not isinstance(doc.get("generated_at"), str):
         problems.append("generated_at missing or not a string")
     if not isinstance(doc.get("campaign"), dict):
         problems.append("campaign missing or not an object")
-    phases = doc.get("phases")
-    if not isinstance(phases, dict):
-        problems.append("phases missing or not an object")
+    key, rows = spec.rows_key, doc.get(spec.rows_key)
+    if spec.keyed_rows and isinstance(rows, dict):
+        labelled = [(f"{key}[{name!r}]", row) for name, row in rows.items()]
+    elif not spec.keyed_rows and isinstance(rows, list) and rows:
+        labelled = [(f"{key}[{i}]", row) for i, row in enumerate(rows)]
     else:
-        for phase, row in phases.items():
-            if not isinstance(row, dict):
-                problems.append(f"phase {phase!r} is not an object")
-                continue
-            for field in _PHASE_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"phase {phase!r} field {field!r} not numeric")
-            count = row.get("count")
-            if isinstance(count, (int, float)) and count < 0:
-                problems.append(f"phase {phase!r} has negative count")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("metrics missing or not an object")
+        labelled = []
+        shape = "an object" if spec.keyed_rows else "a non-empty list"
+        problems.append(f"{key} missing or not {shape}")
+    for label, row in labelled:
+        if isinstance(row, dict):
+            problems += _object_problems(label, row, spec.row_fields, spec.row_checks)
+        else:
+            problems.append(f"{label} is not an object")
+    key, summary = spec.summary_key, doc.get(spec.summary_key)
+    if isinstance(summary, dict):
+        problems += _object_problems(
+            key, summary, spec.summary_fields, spec.summary_checks
+        )
     else:
-        for name, snap in metrics.items():
-            if not isinstance(snap, dict) or snap.get("type") not in (
-                "counter", "gauge", "histogram",
-            ):
-                problems.append(f"metric {name!r} has no valid type")
+        problems.append(f"{key} missing or not an object")
     return problems
 
 
-def assert_valid_bench_pipeline(doc) -> None:
-    problems = validate_bench_pipeline(doc)
+def _object_problems(
+    label: str, obj: dict, fields: Tuple[str, ...], checks: Checks
+) -> List[str]:
+    problems = [
+        f"{label} field {field!r} not numeric"
+        for field in fields
+        if not _number(obj.get(field))
+    ]
+    return problems + [
+        f"{label} {message}" for message, violated in checks.items() if violated(obj)
+    ]
+
+
+def _checked(doc) -> dict:
+    problems = validate_bench(doc)
     if problems:
         raise ObservabilityError(
-            "invalid BENCH_pipeline document: " + "; ".join(problems[:10])
+            "invalid BENCH document: " + "; ".join(problems[:10])
         )
-
-
-def load_and_validate(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_pipeline(doc)
     return doc
 
 
-# ---------------------------------------------------------------------------
-# BENCH_sfm.json — scratch-vs-incremental SfM registration-phase timings
-# ---------------------------------------------------------------------------
-
-BENCH_SFM_SCHEMA = "repro.bench.sfm/v1"
-
-_SFM_BATCH_FIELDS = (
-    "batch",
-    "points",
-    "cameras",
-    "pending",
-    "scratch_ms",
-    "incremental_ms",
-    "speedup",
-)
-
-_SFM_SUMMARY_FIELDS = (
-    "late_from_batch",
-    "late_batches",
-    "late_scratch_ms",
-    "late_incremental_ms",
-    "late_speedup",
-    "target_speedup",
-)
-
-
-def bench_sfm_document(
-    batches: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_sfm.json`` document (see ``validate_bench_sfm``)."""
-    return {
-        "schema": BENCH_SFM_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "batches": [dict(row) for row in batches],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_sfm(
+def write_bench(
     path: PathLike,
-    batches: List[dict],
+    schema: str,
+    rows,
     summary: dict,
     campaign: Optional[dict] = None,
 ) -> pathlib.Path:
-    doc = bench_sfm_document(batches, summary, campaign)
-    assert_valid_bench_sfm(doc)
+    """Build, validate and write a ``schema`` document to ``path``."""
+    doc = _checked(bench_document(schema, rows, summary, campaign))
     path = pathlib.Path(path)
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
-def validate_bench_sfm(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_SFM_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_SFM_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    batches = doc.get("batches")
-    if not isinstance(batches, list) or not batches:
-        problems.append("batches missing, not a list, or empty")
-    else:
-        for i, row in enumerate(batches):
-            if not isinstance(row, dict):
-                problems.append(f"batches[{i}] is not an object")
-                continue
-            for field in _SFM_BATCH_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"batches[{i}] field {field!r} not numeric")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _SFM_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-    return problems
-
-
-def assert_valid_bench_sfm(doc) -> None:
-    problems = validate_bench_sfm(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_sfm document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_sfm(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_sfm, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_sfm(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_backend.json — SfM-lane overload sweep (workers x queue bound)
-# ---------------------------------------------------------------------------
-
-BENCH_BACKEND_SCHEMA = "repro.bench.backend/v1"
-
-#: One row per lane shape. ``workers=0`` encodes the infinite-server
-#: model; ``queue_limit=-1`` encodes an unbounded admission queue.
-_BACKEND_ROW_FIELDS = (
-    "workers",
-    "queue_limit",
-    "sim_time_s",
-    "tasks_completed",
-    "photos_uploaded",
-    "batches_shed",
-    "client_backpressure",
-    "queue_wait_s",
-    "peak_queue_depth",
-    "service_time_s",
-)
-
-_BACKEND_SUMMARY_FIELDS = (
-    "rows",
-    "baseline_tasks_completed",
-    "max_queue_wait_s",
-    "total_shed",
-)
-
-
-def bench_backend_document(
-    rows: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_backend.json`` document (see ``validate_bench_backend``)."""
-    return {
-        "schema": BENCH_BACKEND_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "rows": [dict(row) for row in rows],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_backend(
-    path: PathLike,
-    rows: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_backend_document(rows, summary, campaign)
-    assert_valid_bench_backend(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_backend(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_BACKEND_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_BACKEND_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("rows missing, not a list, or empty")
-    else:
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] is not an object")
-                continue
-            for field in _BACKEND_ROW_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"rows[{i}] field {field!r} not numeric")
-            workers = row.get("workers")
-            if isinstance(workers, int) and workers < 0:
-                problems.append(f"rows[{i}] has negative workers")
-            limit = row.get("queue_limit")
-            if isinstance(limit, int) and limit < -1:
-                problems.append(f"rows[{i}] queue_limit below -1")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _BACKEND_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-    return problems
-
-
-def assert_valid_bench_backend(doc) -> None:
-    problems = validate_bench_backend(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_backend document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_backend(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_backend, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_backend(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_dst.json — parallel campaign-executor speedup (serial vs --jobs N)
-# ---------------------------------------------------------------------------
-
-BENCH_DST_SCHEMA = "repro.bench.dst/v1"
-
-#: One row per executor run (``mode`` is "serial" or "parallel").
-_DST_RUN_FIELDS = (
-    "jobs",
-    "wall_s",
-    "campaigns",
-    "passed",
-    "failed",
-    "checks_run",
-)
-
-_DST_SUMMARY_FIELDS = (
-    "campaigns",
-    "jobs",
-    "cpu_count",
-    "serial_wall_s",
-    "parallel_wall_s",
-    "wall_speedup",
-    "total_busy_s",
-    "critical_path_s",
-    "critical_path_speedup",
-    "target_speedup",
-)
-
-
-def bench_dst_document(
-    runs: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_dst.json`` document (see ``validate_bench_dst``).
-
-    ``summary.wall_speedup`` is the *measured* serial/parallel wall
-    ratio on the generating host; ``summary.critical_path_speedup``
-    (total worker busy seconds / slowest worker lane) is the speedup the
-    sharding achieves independent of how many physical cores that host
-    had — the two coincide on an unloaded machine with >= ``jobs``
-    cores. ``summary.cpu_count`` records which regime the document was
-    generated under; ``summary.byte_identical`` asserts the serial and
-    parallel runs produced identical summaries.
-    """
-    return {
-        "schema": BENCH_DST_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "runs": [dict(row) for row in runs],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_dst(
-    path: PathLike,
-    runs: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_dst_document(runs, summary, campaign)
-    assert_valid_bench_dst(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_dst(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_DST_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_DST_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        problems.append("runs missing, not a list, or empty")
-    else:
-        for i, row in enumerate(runs):
-            if not isinstance(row, dict):
-                problems.append(f"runs[{i}] is not an object")
-                continue
-            if row.get("mode") not in ("serial", "parallel"):
-                problems.append(f"runs[{i}] mode must be 'serial' or 'parallel'")
-            for field in _DST_RUN_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"runs[{i}] field {field!r} not numeric")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _DST_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-        if not isinstance(summary.get("byte_identical"), bool):
-            problems.append("summary field 'byte_identical' not a bool")
-        speedup = summary.get("wall_speedup")
-        if isinstance(speedup, (int, float)) and speedup <= 0:
-            problems.append("summary wall_speedup must be positive")
-    return problems
-
-
-def assert_valid_bench_dst(doc) -> None:
-    problems = validate_bench_dst(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_dst document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_dst(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_dst, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_dst(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_recovery.json — recovery-ladder cost vs fallback depth
-# ---------------------------------------------------------------------------
-
-BENCH_RECOVERY_SCHEMA = "repro.bench.recovery/v1"
-
-#: One row per forced fallback depth (``depth`` = newest generations
-#: damaged before recovery; 0 = the clean happy path).
-_RECOVERY_ROW_FIELDS = (
-    "depth",
-    "snapshot_seq",
-    "generations_tried",
-    "quarantined",
-    "quarantined_bytes",
-    "replayed_records",
-    "wall_s",
-)
-
-_RECOVERY_SUMMARY_FIELDS = (
-    "generations",
-    "wal_records",
-    "newest_replayed_records",
-    "genesis_replayed_records",
-    "newest_wall_s",
-    "genesis_wall_s",
-    "replay_amplification",
-    "wall_amplification",
-)
-
-
-def bench_recovery_document(
-    rows: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_recovery.json`` document.
-
-    ``summary.replay_amplification`` is the genesis-rung replay length
-    over the newest-rung replay length — the price (in replayed
-    records) of falling all the way down the ladder;
-    ``summary.wall_amplification`` is the same ratio in wall seconds.
-    ``summary.digest_identical`` asserts every rung recovered the same
-    logical state digest — the ladder trades replay work for nothing
-    else.
-    """
-    return {
-        "schema": BENCH_RECOVERY_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "rows": [dict(row) for row in rows],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_recovery(
-    path: PathLike,
-    rows: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_recovery_document(rows, summary, campaign)
-    assert_valid_bench_recovery(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_recovery(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_RECOVERY_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_RECOVERY_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("rows missing, not a list, or empty")
-    else:
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] is not an object")
-                continue
-            for field in _RECOVERY_ROW_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"rows[{i}] field {field!r} not numeric")
-            depth = row.get("depth")
-            if isinstance(depth, int) and depth < 0:
-                problems.append(f"rows[{i}] has negative depth")
-            tried = row.get("generations_tried")
-            if isinstance(tried, int) and isinstance(depth, int):
-                if tried != depth + 1:
-                    problems.append(
-                        f"rows[{i}] generations_tried != depth + 1"
-                    )
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _RECOVERY_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-        if not isinstance(summary.get("digest_identical"), bool):
-            problems.append("summary field 'digest_identical' not a bool")
-        amp = summary.get("replay_amplification")
-        if isinstance(amp, (int, float)) and amp < 1.0:
-            problems.append("summary replay_amplification below 1.0")
-    return problems
-
-
-def assert_valid_bench_recovery(doc) -> None:
-    problems = validate_bench_recovery(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_recovery document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_recovery(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_recovery, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_recovery(doc)
-    return doc
+def load_bench(path: PathLike) -> dict:
+    """Load the document at ``path`` and return it if it is valid."""
+    return _checked(json.loads(pathlib.Path(path).read_text()))

@@ -399,10 +399,6 @@ class BackendServer:
         return self._protocol
 
     @property
-    def backend_config(self) -> BackendConfig:
-        return self._backend
-
-    @property
     def results(self) -> List[ProcessingResult]:
         return list(self._result_log)
 
@@ -416,25 +412,13 @@ class BackendServer:
 
     # -- read-only ledger views (DST invariant checking) ---------------------------
 
-    def ledger_batch_ids(self) -> List[str]:
-        """Every batch id the dedup ledger has seen, in arrival order."""
-        return list(self._batch_ledger)
-
     def ledger_entry(self, batch_id: str) -> Optional[ProcessingResult]:
         """The ledgered result for ``batch_id`` (``None`` while in flight)."""
         return self._batch_ledger.get(batch_id)
 
-    def inflight_batch_count(self, task_id: int) -> int:
-        """Uploaded batches of ``task_id`` currently in simulated processing."""
-        return self._inflight_batches.get(task_id, 0)
-
     def ledger_contains(self, batch_id: str) -> bool:
         """Whether the dedup ledger still holds an entry for ``batch_id``."""
         return batch_id in self._batch_ledger
-
-    @property
-    def batch_ledger_size(self) -> int:
-        return len(self._batch_ledger)
 
     @property
     def request_ledger_size(self) -> int:

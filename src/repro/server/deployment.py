@@ -84,19 +84,6 @@ class DeploymentReport:
     snapshots_quarantined: int = 0
     recovery_fallbacks: int = 0
 
-    @property
-    def baseline_view(self) -> tuple:
-        """The pre-fault-layer report fields, for differential checks."""
-        return (
-            self.sim_time_s,
-            self.events_processed,
-            self.venue_covered,
-            self.tasks_completed,
-            self.photos_uploaded,
-            self.total_traffic_mb,
-            self.coverage_cells,
-        )
-
 
 class Deployment:
     """Builds and runs a client/server SnapTask deployment."""

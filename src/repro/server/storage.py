@@ -209,12 +209,6 @@ class BackendStore:
     def maybe_task(self, task_id: int) -> Optional[Task]:
         return self._tasks.get(task_id)
 
-    def pending_tasks(self) -> List[Task]:
-        return sorted(
-            (t for t in self._tasks.values() if t.status == TaskStatus.PENDING),
-            key=lambda t: t.task_id,
-        )
-
     def assignee_of(self, task_id: int) -> Optional[str]:
         return self._assignments.get(task_id)
 

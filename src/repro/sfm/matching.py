@@ -65,9 +65,6 @@ class MatchIndex:
     def photo(self, photo_id: int) -> Photo:
         return self._photos[photo_id]
 
-    def observers_of(self, feature_id: int) -> Set[int]:
-        return set(self._by_feature.get(feature_id, ()))
-
     def observers_view(self, feature_id: int):
         """Non-copying view of the observer set (hot-path iteration only).
 

@@ -189,10 +189,6 @@ class IncrementalSfm:
         return len(self._registered)
 
     @property
-    def n_pending(self) -> int:
-        return len(self._pending)
-
-    @property
     def n_points(self) -> int:
         return len(self._store)
 
@@ -395,13 +391,6 @@ class IncrementalSfm:
                     self._register(photo)
                     registered += 1
         return registered
-
-    def _feature_position_fast(self, fid: int):
-        if fid >= ARTIFICIAL_FEATURE_BASE and fid < REFLECTION_FEATURE_BASE:
-            pos = self._artificial_positions.get(fid)
-            return (pos.x, pos.y) if pos is not None else None
-        feature = self._world.feature(fid)
-        return (feature.position.x, feature.position.y)
 
     def _resolve_feature(self, fid: int) -> Tuple[float, float, bool]:
         """Intern-time classification for :class:`FeatureColumns`.

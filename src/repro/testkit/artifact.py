@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .harness import CampaignResult, run_scenario
-from .invariants import Violation
 from .scenario import Scenario
 
 #: Schema version for failing-seed artifacts.
@@ -90,9 +89,3 @@ def replay_artifact(
         mutation=doc.get("mutation"),
         check_determinism=check_determinism,
     )
-
-
-def artifact_violation(doc: Dict) -> Optional[Violation]:
-    """The recorded violation, if the artifact captured an invariant failure."""
-    raw = doc.get("violation")
-    return Violation.from_dict(raw) if raw else None

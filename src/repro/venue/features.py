@@ -95,10 +95,6 @@ class FeatureWorld:
         return self._strengths
 
     @property
-    def surface_ids(self) -> np.ndarray:
-        return self._surface_ids
-
-    @property
     def ids(self) -> np.ndarray:
         return self._ids
 
@@ -117,15 +113,6 @@ class FeatureWorld:
             return self._by_id[feature_id]
         except KeyError:
             raise VenueError(f"no world feature with id {feature_id}") from None
-
-    def features_on_surface(self, surface_id: int) -> List[WorldFeature]:
-        return [f for f in self._features if f.surface_id == surface_id]
-
-    def surface_feature_count(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for sid in self._surface_ids:
-            counts[int(sid)] = counts.get(int(sid), 0) + 1
-        return counts
 
 
 def _sample_surface(

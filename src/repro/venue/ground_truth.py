@@ -33,10 +33,6 @@ class GroundTruth:
     def region_cells(self) -> int:
         return int(self.region_mask.sum())
 
-    @property
-    def obstacle_cells(self) -> int:
-        return int(self.obstacle_mask.sum())
-
     def obstacles_grid(self) -> Grid2D:
         grid = Grid2D(self.spec)
         grid.data[self.obstacle_mask] = 1.0

@@ -75,10 +75,6 @@ class Venue:
             [s.segment for s in opaque],
             heights=[(s.base_z, s.top_z) for s in opaque],
         )
-        self._all_soup = SegmentSoup(
-            [s.segment for s in self._surfaces],
-            heights=[(s.base_z, s.top_z) for s in self._surfaces],
-        )
 
     def __deepcopy__(self, memo: dict) -> "Venue":
         # Write-once after __init__: durability snapshots share the venue
@@ -129,10 +125,6 @@ class Venue:
     def opaque_soup(self) -> SegmentSoup:
         """Occluders: opaque, non-decor surfaces (glass is see-through)."""
         return self._opaque_soup
-
-    @property
-    def all_soup(self) -> SegmentSoup:
-        return self._all_soup
 
     # -- classification -----------------------------------------------------
 
@@ -211,13 +203,6 @@ class Venue:
         if not candidates:
             return None
         return min(candidates, key=lambda s: s.segment.distance_to_point(p))
-
-    def featureless_surfaces_near(self, p: Vec2, radius: float) -> List[Surface]:
-        return [
-            s
-            for s in self.featureless_surfaces()
-            if s.segment.distance_to_point(p) <= radius
-        ]
 
     def describe(self) -> str:
         """Human-readable inventory summary."""

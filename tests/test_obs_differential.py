@@ -94,7 +94,12 @@ class TestTracingDifferential:
             assert all(s.finished for s in spans)
 
     def test_exported_trace_is_schema_valid(self, runs, tmp_path):
-        from repro.obs.bench import load_and_validate, write_bench_pipeline
+        from repro.obs.bench import (
+            BENCH_PIPELINE_SCHEMA,
+            load_bench,
+            phase_rows,
+            write_bench,
+        )
         from repro.obs.export import validate_chrome_trace, write_chrome_trace
 
         telemetry, *_ = runs
@@ -102,8 +107,11 @@ class TestTracingDifferential:
 
         path = write_chrome_trace(telemetry.tracer, tmp_path / "trace.json")
         assert validate_chrome_trace(json.loads(path.read_text())) == []
-        bench_path = write_bench_pipeline(
-            tmp_path / "BENCH_pipeline.json", telemetry.metrics
+        bench_path = write_bench(
+            tmp_path / "BENCH_pipeline.json",
+            BENCH_PIPELINE_SCHEMA,
+            phase_rows(telemetry.metrics),
+            telemetry.metrics.snapshot(),
         )
-        doc = load_and_validate(bench_path)
+        doc = load_bench(bench_path)
         assert doc["phases"]["total"]["count"] > 0
