@@ -12,9 +12,10 @@ wavefront, O(delta) snapshots, cached-kNN SOR).
 This bench records one guided fig10 campaign's exact SfM event stream
 (photo batches + artificial-feature registrations, captured by wrapping
 the live engine), then replays it twice — once through the preserved
-``full_rebuild=True`` from-scratch path, once through the columnar path —
-timing the full registration-phase composition per batch and asserting
-inline that both replays stay bit-identical. The committed artefacts are
+from-scratch engine (:class:`~repro.sfm.scratch.ScratchSfm` plus
+``sor_filter``), once through the columnar path — timing the full
+registration-phase composition per batch and asserting inline that both
+replays stay bit-identical. The committed artefacts are
 ``benchmarks/results/perf_sfm_core.txt`` (human-readable table) and
 ``benchmarks/results/BENCH_sfm.json`` (machine-readable, schema
 ``repro.bench.sfm/v1``, validated by CI).
@@ -35,6 +36,7 @@ import pytest
 from repro.eval import Workbench
 from repro.obs.bench import BENCH_SFM_SCHEMA, write_bench
 from repro.sfm import IncrementalSfm, IncrementalSorFilter, sor_filter
+from repro.sfm.scratch import ScratchSfm
 from repro.simkit import RngStream
 
 from .conftest import write_result
@@ -76,16 +78,15 @@ def recorded_events():
     return bench, events
 
 
-def _replay(bench, events, full_rebuild):
+def _replay(bench, events, scratch):
     """Replay the event stream, timing the registration-phase composition.
 
     Per batch: ``add_photos`` + ``model()`` + SOR filter — exactly what
     ``SnapTaskPipeline.process_batch`` runs before the map merge.
     """
     cfg = bench.config.sfm
-    engine = IncrementalSfm(
-        bench.world, cfg, RngStream(31337, "sfm-perf-replay"), full_rebuild=full_rebuild
-    )
+    engine_cls = ScratchSfm if scratch else IncrementalSfm
+    engine = engine_cls(bench.world, cfg, RngStream(31337, "sfm-perf-replay"))
     sor = IncrementalSorFilter(cfg.sor_neighbors, cfg.sor_std_ratio)
     rows = []
     for event in events:
@@ -96,7 +97,7 @@ def _replay(bench, events, full_rebuild):
         t0 = time.perf_counter()
         report = engine.add_photos(batch)
         model = engine.model()
-        if full_rebuild:
+        if scratch:
             filtered = sor_filter(model.cloud, cfg.sor_neighbors, cfg.sor_std_ratio)
         else:
             filtered = sor.filter(model.cloud)
@@ -116,8 +117,8 @@ def _replay(bench, events, full_rebuild):
 
 def test_perf_columnar_vs_scratch(recorded_events, results_dir):
     bench, events = recorded_events
-    scratch = _replay(bench, events, full_rebuild=True)
-    columnar = _replay(bench, events, full_rebuild=False)
+    scratch = _replay(bench, events, scratch=True)
+    columnar = _replay(bench, events, scratch=False)
     assert len(scratch) == len(columnar)
 
     # Inline differential oracle: the replay being timed is the replay

@@ -10,7 +10,7 @@ pinpoint each corner. Both algorithms are implemented here from scratch
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree

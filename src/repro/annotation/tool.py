@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..camera.capture import CaptureSimulator
 from ..camera.intrinsics import Intrinsics
@@ -25,16 +25,14 @@ from ..camera.photo import Photo
 from ..config import SnapTaskConfig
 from ..core.pipeline import BatchOutcome, SnapTaskPipeline
 from ..core.tasks import Task
-from ..errors import AnnotationError
 from ..geometry import Vec2
 from ..simkit.rng import RngStream
 from ..venue.model import Venue
 from ..venue.surfaces import Surface
-from .bounds import FusedObject, get_marked_obstacle_bounds
-from .imprint import ImprintResult, reconstruct_featureless_surfaces
+from .bounds import FusedObject
+from .imprint import ImprintResult
 from .processor import AnnotationProcessor
 from .textures import TextureDatabase
-from .workers import WorkerPool
 
 #: How far in front of the target surface the participant stands.
 STAND_OFF_DISTANCE_M = 4.5

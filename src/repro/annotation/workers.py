@@ -15,13 +15,11 @@ here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..camera.intrinsics import Intrinsics
 from ..camera.photo import Photo
 from ..config import AnnotationConfig
 from ..geometry import PinholeProjection, Vec2

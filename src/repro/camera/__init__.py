@@ -17,7 +17,7 @@ from .intrinsics import (
     ExifMetadata,
     Intrinsics,
 )
-from .photo import Observation, Photo
+from .photo import Photo
 from .pose import CameraPose, sweep_poses
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "LAPLACIAN_KERNEL",
     "MAX_OBSERVATIONS_PER_PHOTO",
     "NEXUS_5",
-    "Observation",
     "PIXEL_NOISE_STD",
     "Photo",
     "convolve2d_same",

@@ -10,8 +10,7 @@ poses with noise, like a real pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,15 +18,6 @@ from ..errors import CaptureError
 from .blur import variance_of_laplacian
 from .intrinsics import ExifMetadata
 from .pose import CameraPose
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One detected feature in one photo."""
-
-    feature_id: int
-    pixel_u: float
-    pixel_v: float
 
 
 class Photo:

@@ -416,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scratch-twin-every",
         type=int,
         default=0,
-        help="diff every N-th campaign against its full_rebuild=True twin",
+        help="diff every N-th campaign against its twin on the from-scratch "
+        "SfM oracle",
     )
     p_fuzz.add_argument(
         "--crashes",

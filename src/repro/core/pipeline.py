@@ -25,7 +25,7 @@ attempt counters that drive annotation-task escalation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..camera.photo import Photo
@@ -40,13 +40,7 @@ from ..mapping import (
 )
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..obs.wallclock import wall_now_s
-from ..sfm import (
-    IncrementalSfm,
-    IncrementalSorFilter,
-    RegistrationReport,
-    SfmModel,
-    sor_filter,
-)
+from ..sfm import IncrementalSfm, IncrementalSorFilter, RegistrationReport, SfmModel
 from ..simkit.rng import RngStream
 from ..venue.features import FeatureWorld
 import numpy as np
@@ -89,7 +83,6 @@ class SnapTaskPipeline:
         initial_position: Vec2,
         rng: RngStream,
         site_mask=None,
-        full_rebuild: bool = False,
         telemetry: Optional[Telemetry] = None,
     ):
         self._world = world
@@ -109,16 +102,7 @@ class SnapTaskPipeline:
         }
         self._m_batches = metrics.counter("repro.pipeline.batches")
         self._m_tasks_generated = metrics.counter("repro.pipeline.tasks_generated")
-        # ``full_rebuild=True`` is the escape hatch that forces from-scratch
-        # recomputation on every batch, through all three incremental
-        # subsystems: the columnar SfM engine falls back to full pending
-        # rescans + eager snapshots, the SOR filter to a fresh cKDTree
-        # query, and the map engine to Algorithm 2 + 3 rebuilds.
-        self._full_rebuild = full_rebuild
-        self._sfm = IncrementalSfm(
-            world, config.sfm, rng.child("sfm"), telemetry=obs,
-            full_rebuild=full_rebuild,
-        )
+        self._sfm = IncrementalSfm(world, config.sfm, rng.child("sfm"), telemetry=obs)
         # Incremental SOR (Algorithm 1 line 2): per-point kNN caches keyed
         # to the growing reconstruction; bit-identical to ``sor_filter``.
         self._sor = IncrementalSorFilter(
@@ -201,11 +185,6 @@ class SnapTaskPipeline:
     def sfm(self) -> IncrementalSfm:
         return self._sfm
 
-    @property
-    def full_rebuild(self) -> bool:
-        """True when the from-scratch escape hatch is active."""
-        return self._full_rebuild
-
     def model(self) -> SfmModel:
         return self._sfm.model()
 
@@ -230,14 +209,7 @@ class SnapTaskPipeline:
         t0 = t_total
         report = self._sfm.add_photos(photos)  # line 1
         model = self._sfm.model()
-        if self._full_rebuild:  # line 2 (from-scratch oracle)
-            filtered_cloud = sor_filter(
-                model.cloud,
-                self._config.sfm.sor_neighbors,
-                self._config.sfm.sor_std_ratio,
-            )
-        else:  # line 2, amortized over the growing cloud
-            filtered_cloud = self._sor.filter(model.cloud)
+        filtered_cloud = self._sor.filter(model.cloud)  # line 2
         if obs_on:
             self._phase("registration", t0, photos=len(photos))
             t0 = wall_now_s()
@@ -247,9 +219,7 @@ class SnapTaskPipeline:
         # iteration. Cell-exactness vs calculate_obstacles_map /
         # calculate_visibility_map is enforced by the differential oracle
         # in tests/test_incremental_equivalence.py.
-        map_update = self._map_engine.update(
-            model, filtered_cloud, full_rebuild=self._full_rebuild
-        )
+        map_update = self._map_engine.update(model, filtered_cloud)
         obstacles = map_update.maps.obstacles  # line 3
         visibility = map_update.maps.visibility  # line 4
         maps = map_update.maps

@@ -17,7 +17,7 @@ The user scenario, end to end:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..annotation.tool import AnnotationCampaign, AnnotationTaskResult

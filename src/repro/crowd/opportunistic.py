@@ -18,7 +18,7 @@ from ..camera.capture import CaptureSimulator
 from ..camera.photo import Photo
 from ..simkit.rng import RngStream
 from ..venue.model import Venue
-from .mobility import HotspotMobility, Trajectory
+from .mobility import HotspotMobility
 from .participants import Participant
 from .video import capture_frames, extract_sharpest_frames, frame_specs_for_walk
 

@@ -15,7 +15,7 @@ winners become full photos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..camera.blur import render_patch, variance_of_laplacian
 from ..camera.capture import CaptureSimulator

@@ -8,9 +8,7 @@ from .datasets import (
 )
 from .experiments import (
     BaselineExperimentResult,
-    ComparisonResult,
     GuidedExperimentResult,
-    run_comparison,
     run_guided_experiment,
     run_opportunistic_experiment,
     run_unguided_experiment,
@@ -37,7 +35,6 @@ from .workbench import Workbench
 
 __all__ = [
     "BaselineExperimentResult",
-    "ComparisonResult",
     "FeaturelessTaskMetrics",
     "GuidedExperimentResult",
     "IncrementalMapEvaluator",
@@ -54,7 +51,6 @@ __all__ = [
     "format_series_rows",
     "format_series_table",
     "format_table1",
-    "run_comparison",
     "run_guided_experiment",
     "run_opportunistic_experiment",
     "run_unguided_experiment",

@@ -8,7 +8,7 @@ harness formats. See DESIGN.md's experiment index for the mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..camera.photo import Photo
 from ..core.tasks import TaskKind
@@ -184,29 +184,4 @@ def _evaluate_baseline(
         final_maps=evaluator.current_maps(),
         final_model=evaluator.current_model(),
         n_photos_collected=len(photos),
-    )
-
-
-# --------------------------------------------------------------------------
-# Figure-level assemblies
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Fig. 11 / Fig. 12 / headline deltas: all three approaches."""
-
-    guided: GuidedExperimentResult
-    unguided: BaselineExperimentResult
-    opportunistic: BaselineExperimentResult
-
-
-def run_comparison(bench_factory, max_tasks: int = 60) -> ComparisonResult:
-    """Run all three campaigns on identical venues (fresh workbench each,
-    same seed => identical world) and assemble the comparison."""
-    guided = run_guided_experiment(bench_factory(), max_tasks=max_tasks)
-    unguided = run_unguided_experiment(bench_factory())
-    opportunistic = run_opportunistic_experiment(bench_factory())
-    return ComparisonResult(
-        guided=guided, unguided=unguided, opportunistic=opportunistic
     )

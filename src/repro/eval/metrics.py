@@ -11,13 +11,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..annotation.tool import AnnotationTaskResult
 from ..camera.photo import Photo
-from ..geometry import Segment, Vec2, merge_intervals, total_interval_length
+from ..geometry import merge_intervals, total_interval_length
 from ..mapping.boundary import BoundsReport, outer_bounds_report
 from ..mapping.coverage import CoverageMaps, CoverageScore, score_against_ground_truth
 from ..sfm.model import SfmModel

@@ -12,7 +12,7 @@ These helpers render the same content as ASCII over the venue grid.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -8,7 +8,6 @@ builds all of it deterministically from a :class:`SnapTaskConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..annotation.tool import AnnotationCampaign
@@ -18,7 +17,7 @@ from ..core.pipeline import SnapTaskPipeline
 from ..crowd.guided import GuidedCampaign
 from ..crowd.mobility import HotspotMobility
 from ..crowd.opportunistic import OpportunisticCollector
-from ..crowd.participants import guided_participants, make_participants
+from ..crowd.participants import guided_participants
 from ..crowd.participatory import UnguidedCollector
 from ..mapping.grid import GridSpec
 from ..nav.localization import ImageLocalizer
@@ -77,15 +76,8 @@ class Workbench:
             ),
         )
 
-    def make_pipeline(
-        self, use_site_mask: bool = True, telemetry=None, full_rebuild: bool = False
-    ) -> SnapTaskPipeline:
-        """A fresh SnapTask backend pipeline for this venue.
-
-        ``full_rebuild=True`` builds the from-scratch oracle variant
-        (every incremental subsystem recomputes per batch) — the twin
-        used by the differential suites and the DST harness.
-        """
+    def make_pipeline(self, use_site_mask: bool = True, telemetry=None) -> SnapTaskPipeline:
+        """A fresh SnapTask backend pipeline for this venue."""
         self._pipeline_counter += 1
         return SnapTaskPipeline(
             self.world,
@@ -94,7 +86,6 @@ class Workbench:
             self.venue.entrance,
             self.rng.stream(f"pipeline-{self._pipeline_counter}"),
             site_mask=self.ground_truth.region_mask if use_site_mask else None,
-            full_rebuild=full_rebuild,
             telemetry=telemetry,
         )
 

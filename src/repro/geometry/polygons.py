@@ -7,7 +7,6 @@ iteration used by the ground-truth map builder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 

@@ -10,7 +10,7 @@ from .export import (
     spec_metadata,
 )
 from .coverage import CoverageMaps, CoverageScore, score_against_ground_truth
-from .floorplan import diff_layers, export_layers, render_ascii
+from .floorplan import export_layers, render_ascii
 from .grid import Grid2D, GridSpec
 from .incremental import IncrementalMapEngine, MapUpdate
 from .obstacles import calculate_obstacles_map
@@ -31,7 +31,6 @@ __all__ = [
     "calculate_obstacles_map",
     "calculate_visibility_map",
     "camera_visible_cells",
-    "diff_layers",
     "floorplan_to_csv",
     "floorplan_to_json",
     "floorplan_to_pgm",

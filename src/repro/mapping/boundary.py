@@ -15,13 +15,12 @@ merged lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..geometry import Segment, Vec2, merge_intervals, total_interval_length
+from ..geometry import Segment, merge_intervals, total_interval_length
 from ..venue.model import Venue
-from ..venue.surfaces import Surface
 from .grid import Grid2D
 
 #: How far (metres) an obstacle cell centre may sit from the wall line and

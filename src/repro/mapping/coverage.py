@@ -11,7 +11,6 @@ inside the ground-truth coverage region are counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

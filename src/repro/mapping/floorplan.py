@@ -12,9 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import MappingError
 from .coverage import CoverageMaps
-from .grid import Grid2D
 
 OBSTACLE_CHAR = "#"
 VISIBLE_CHAR = "."
@@ -66,10 +64,3 @@ def export_layers(maps: CoverageMaps) -> np.ndarray:
     out[maps.visibility.nonzero_mask()] = 1
     out[maps.obstacles.nonzero_mask()] = 2
     return out
-
-
-def diff_layers(a: CoverageMaps, b: CoverageMaps) -> np.ndarray:
-    """Cells covered in ``b`` but not in ``a`` (map growth between tasks)."""
-    if a.spec != b.spec:
-        raise MappingError("cannot diff maps on different specs")
-    return b.covered_mask() & ~a.covered_mask()

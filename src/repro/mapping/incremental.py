@@ -73,7 +73,6 @@ class MapUpdate:
     cameras_refreshed: int
     cameras_reused: int
     dirty_obstacle_cells: int
-    full_rebuild: bool
 
     @property
     def cameras_total(self) -> int:
@@ -98,9 +97,7 @@ class IncrementalMapEngine:
     One engine instance tracks one growing reconstruction on one grid
     spec. Feed it successive ``(model, filtered_cloud)`` states via
     :meth:`update`; it diffs each state against the previous one by
-    feature id / photo id and touches only the dirty region. Passing
-    ``full_rebuild=True`` discards all cached state first — the escape
-    hatch that forces from-scratch behaviour through the same code path.
+    feature id / photo id and touches only the dirty region.
     """
 
     def __init__(
@@ -142,7 +139,17 @@ class IncrementalMapEngine:
         self._site_mask = site_mask
         # Used only for its leaf lattice: it stores no points.
         self._lattice = OctoMap.for_spec(spec)
-        self._reset()
+        self._ids = np.zeros(0, dtype=np.int64)  # applied cloud, sorted by id
+        self._xyz = np.zeros((0, 3))
+        self._counts = np.zeros(spec.shape, dtype=np.int64)
+        self._obst = np.zeros(spec.shape, dtype=float)
+        self._obst_mask = np.zeros(spec.shape, dtype=bool)
+        self._vis = np.zeros(spec.shape, dtype=float)
+        self._covered = np.zeros(spec.shape, dtype=bool)
+        self._covered_cells = 0
+        self._cameras: Dict[int, _CameraEntry] = {}
+        self._feature_cams: Dict[int, Set[int]] = {}
+        self._cov_dirty: List[np.ndarray] = []
 
     # -- state access ------------------------------------------------------------
 
@@ -171,7 +178,6 @@ class IncrementalMapEngine:
         self,
         model: SfmModel,
         cloud: Optional[PointCloud] = None,
-        full_rebuild: bool = False,
     ) -> MapUpdate:
         """Bring the maps up to date with ``model`` (+ filtered ``cloud``).
 
@@ -180,8 +186,6 @@ class IncrementalMapEngine:
         separately from ``model`` (whose own cloud is unfiltered). Omitted,
         ``model.cloud`` is used.
         """
-        if full_rebuild:
-            self._reset()
         if cloud is None:
             cloud = model.cloud
 
@@ -205,7 +209,6 @@ class IncrementalMapEngine:
             cameras_refreshed=refreshed,
             cameras_reused=reused,
             dirty_obstacle_cells=dirty.size,
-            full_rebuild=full_rebuild,
         )
 
     # -- obstacles: per-cell column counts + dirty-cell re-threshold -------------
@@ -396,19 +399,3 @@ class IncrementalMapEngine:
         covered_flat = self._covered.reshape(-1)
         self._covered_cells += int(covered.sum()) - int(covered_flat[idx].sum())
         covered_flat[idx] = covered
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _reset(self) -> None:
-        spec = self._spec
-        self._ids = np.zeros(0, dtype=np.int64)  # applied cloud, sorted by id
-        self._xyz = np.zeros((0, 3))
-        self._counts = np.zeros(spec.shape, dtype=np.int64)
-        self._obst = np.zeros(spec.shape, dtype=float)
-        self._obst_mask = np.zeros(spec.shape, dtype=bool)
-        self._vis = np.zeros(spec.shape, dtype=float)
-        self._covered = np.zeros(spec.shape, dtype=bool)
-        self._covered_cells = 0
-        self._cameras: Dict[int, _CameraEntry] = {}
-        self._feature_cams: Dict[int, Set[int]] = {}
-        self._cov_dirty: List[np.ndarray] = []

@@ -25,11 +25,10 @@ Each camera's FOV wedge is therefore clipped twice:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
-from ..camera.pose import CameraPose
 from ..sfm.model import RecoveredCamera, SfmModel
 from .grid import Grid2D, GridSpec
 

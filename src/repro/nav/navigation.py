@@ -11,7 +11,7 @@ timed trajectory so the client/server layer can simulate travel time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..errors import SimulationError
 from ..geometry import Vec2

@@ -12,8 +12,7 @@ Fault tolerance (this layer's contract with unreliable clients):
   requeues expired tasks, so a participant who wanders off mid-task
   (Sec. III runs on real volunteers) costs latency, never coverage. In a
   discrete-event simulation the periodic reaper degenerates to one exact
-  event per lease expiry, cancelled early when the upload lands;
-  :meth:`reap_expired` additionally offers the classic sweep form.
+  event per lease expiry, cancelled early when the upload lands.
 * **Idempotent exchanges** — task requests and photo batches carry ids;
   duplicated or retransmitted messages are answered from dedup ledgers
   instead of double-assigning tasks or double-processing batches.
@@ -873,19 +872,6 @@ class BackendServer:
         )
 
     # -- lease reaper ------------------------------------------------------------------
-
-    def reap_expired(self) -> int:
-        """Sweep all leases and requeue the expired ones; returns the count.
-
-        The event-driven reaper normally does this one lease at a time at
-        the exact expiry instant; this sweep exists for external drivers
-        (and tests) that want the classic periodic form.
-        """
-        reaped = 0
-        for lease in self._store.expired_leases(self._sim.now):
-            if self._reap_lease(lease.task_id):
-                reaped += 1
-        return reaped
 
     def _schedule_lease_reap(self, task_id: int, expires_at: float) -> None:
         if self._replay_now is not None:

@@ -96,7 +96,6 @@ class Deployment:
         dropouts: Optional[Mapping[str, float]] = None,
         dropout_hazard: float = 0.0,
         telemetry: Optional[Telemetry] = None,
-        full_rebuild: bool = False,
     ):
         """``bench`` is an :class:`repro.eval.workbench.Workbench`.
 
@@ -106,15 +105,10 @@ class Deployment:
         participants a per-task abandonment probability. ``telemetry``
         (default: disabled) instruments the whole stack — event loop,
         links, protocol, pipeline — without changing any behaviour.
-        ``full_rebuild`` swaps the backend pipeline for its from-scratch
-        oracle twin (identical outputs, no incremental caching) — the
-        DST harness runs scenario twins through both and diffs them.
         """
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.simulator = Simulator(telemetry=self.telemetry)
-        pipeline = bench.make_pipeline(
-            telemetry=self.telemetry, full_rebuild=full_rebuild
-        )
+        pipeline = bench.make_pipeline(telemetry=self.telemetry)
         server = BackendServer(
             pipeline,
             self.simulator,

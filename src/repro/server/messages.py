@@ -8,8 +8,8 @@ and navigation data down. These dataclasses are the protocol.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..camera.photo import Photo
 from ..core.tasks import Task

@@ -197,9 +197,6 @@ class BackendStore:
     def active_leases(self) -> List[Lease]:
         return sorted(self._leases.values(), key=lambda lease: lease.task_id)
 
-    def expired_leases(self, now: float) -> List[Lease]:
-        return [lease for lease in self.active_leases() if lease.expired(now)]
-
     def task(self, task_id: int) -> Task:
         try:
             return self._tasks[task_id]

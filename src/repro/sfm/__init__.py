@@ -1,12 +1,7 @@
 """SfM substrate: matching, incremental reconstruction, clouds, filtering."""
 
 from .columnar import FeatureColumns, PointColumnStore
-from .filters import (
-    IncrementalSorFilter,
-    sor_filter,
-    sor_filter_incremental,
-    sor_mask,
-)
+from .filters import IncrementalSorFilter, sor_filter, sor_mask
 from .matching import MatchIndex, match_count
 from .model import RecoveredCamera, SfmModel
 from .pointcloud import CloudPoint, PointCloud
@@ -25,6 +20,5 @@ __all__ = [
     "SfmModel",
     "match_count",
     "sor_filter",
-    "sor_filter_incremental",
     "sor_mask",
 ]

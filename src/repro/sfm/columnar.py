@@ -182,7 +182,11 @@ class PointColumnStore:
         return self._ids[start:self._n].copy()
 
     def rows(self):
-        """Iterate (fid, x, y, z, n_views) in append order (diagnostics)."""
+        """Iterate (fid, x, y, z, n_views) in append order.
+
+        The from-scratch :class:`~repro.sfm.scratch.ScratchSfm` oracle
+        rebuilds its clouds from these rows.
+        """
         for i in range(self._n):
             yield (
                 int(self._ids[i]),

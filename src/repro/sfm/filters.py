@@ -252,14 +252,3 @@ class IncrementalSorFilter:
         mean_d = self._mean_d
         threshold = mean_d.mean() + self._ratio * mean_d.std()
         return mean_d <= threshold
-
-
-def sor_filter_incremental(
-    cloud: PointCloud, state: IncrementalSorFilter
-) -> PointCloud:
-    """Incremental ``sorFilter``: like :func:`sor_filter`, amortized O(delta).
-
-    ``state`` carries the k-NN caches between calls; use one instance per
-    growing cloud (the pipeline owns one per reconstruction).
-    """
-    return state.filter(cloud)

@@ -13,7 +13,7 @@ time). The index below answers the two queries incremental SfM needs:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..camera.photo import Photo
 

@@ -9,7 +9,7 @@ visibility map (Algorithm 3) uses to compute each camera's FOV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -20,31 +20,26 @@ Triangulation uses the simulator's feature-position oracle plus calibrated
 noise rather than multi-view geometry on pixel coordinates — the
 substitution documented in DESIGN.md.
 
-Two execution strategies share one public contract (DESIGN.md §"Columnar
-SfM core"):
+The engine is columnar (DESIGN.md §"Columnar SfM core"): it interns
+feature ids into a dense index (``repro.sfm.columnar``), evaluates the
+registration test as a vectorized gather + bitmask intersect, re-tests
+only pending photos whose features gained new view-mask bits since their
+last test (the registration *wavefront*), triangulates from a
+dirty-feature queue, and snapshots the cloud O(delta) from an
+append-only column store.
 
-* the default **columnar wavefront** path interns feature ids into a
-  dense index (``repro.sfm.columnar``), evaluates the registration test
-  as a vectorized gather + bitmask intersect, re-tests only pending
-  photos whose features gained new view-mask bits since their last test
-  (the registration *wavefront*), triangulates from a dirty-feature
-  queue, and snapshots the cloud O(delta) from an append-only column
-  store;
-* the ``full_rebuild=True`` **escape hatch** preserves the original
-  O(model)-per-batch semantics — per-feature dict loops, full pending
-  rescans every round, full feature-table triangulation scans, and
-  from-scratch ``PointCloud`` construction on every ``model()`` call.
-
-Both paths draw their pose/point noise from *keyed* RNG children
-(``pose-<photo>``, ``point-<fid>``), so registration order never perturbs
-the draws; the differential suite (tests/test_sfm_equivalence.py) pins
-the two strategies bit-identical on clouds, reports and registration
-order.
+Pose/point noise comes from *keyed* RNG children (``pose-<photo>``,
+``point-<fid>``), so registration order never perturbs the draws. The
+original O(model)-per-batch engine survives as the test oracle
+:class:`repro.sfm.scratch.ScratchSfm`; the differential suite
+(tests/test_sfm_equivalence.py) pins the two bit-identical on clouds,
+reports and registration order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -61,10 +56,7 @@ from ..venue.features import ARTIFICIAL_FEATURE_BASE, REFLECTION_FEATURE_BASE, F
 from .columnar import FeatureColumns, PointColumnStore
 from .matching import MatchIndex
 from .model import RecoveredCamera, SfmModel
-from .pointcloud import CloudPoint, PointCloud
-
-#: Bucket value marking wildcard (viewpoint-insensitive) observations.
-WILDCARD_BUCKET = 255
+from .pointcloud import PointCloud
 
 
 @dataclass(frozen=True)
@@ -100,15 +92,10 @@ class IncrementalSfm:
         config: SfmConfig,
         rng: RngStream,
         telemetry: Optional[Telemetry] = None,
-        full_rebuild: bool = False,
     ):
         self._world = world
         self._config = config
         self._rng = rng
-        #: From-scratch escape hatch: preserve the original O(model)
-        #: per-batch scan semantics (dict state, full rescans, eager
-        #: snapshots). The wavefront path must stay bit-identical to it.
-        self._scratch = bool(full_rebuild)
         obs = telemetry if telemetry is not None else NULL_TELEMETRY
         metrics = obs.metrics
         # Per-photo/per-point distributions (DESIGN.md "Observability").
@@ -123,7 +110,7 @@ class IncrementalSfm:
         self._h_batch_registered = metrics.histogram(
             "repro.sfm.batch_registered", base=1.0, growth=2.0
         )
-        # Wavefront/candidate counters (columnar path only).
+        # Wavefront/candidate counters.
         self._m_wave_rounds = metrics.counter("repro.sfm.wavefront.rounds")
         self._m_wave_candidates = metrics.counter("repro.sfm.wavefront.candidates")
         self._m_wave_skipped = metrics.counter("repro.sfm.wavefront.skipped")
@@ -135,22 +122,16 @@ class IncrementalSfm:
         self._registered: Dict[int, RecoveredCamera] = {}
         # feature id -> photo ids among *registered* photos observing it.
         self._feature_obs: Dict[int, Set[int]] = {}
-        # Append-only columnar point store (both strategies; only the
-        # snapshot policy differs — see model()).
+        # Append-only columnar point store.
         self._store = PointColumnStore()
         # Oracle positions for artificial-texture features (Algorithm 6).
         self._artificial_positions: Dict[int, Vec3] = {}
         # Cache of per-feature noise draws so rebuilt clouds are stable.
         self._noise_cache: Dict[int, Tuple[float, float, float]] = {}
-        # Scratch strategy: per-feature bitmask dict of the angular buckets
-        # registered observers saw it from (the original representation).
-        self._view_masks: Dict[int, int] = {}
-        # Columnar strategy: dense per-feature state + per-photo columns.
+        # Dense per-feature state + per-photo (dense idx, or-bits,
+        # compat-select) columns, cached by photo id.
         self._cols = FeatureColumns(self._resolve_feature)
-        self._photo_fidx: Dict[int, np.ndarray] = {}
-        self._photo_bits: Dict[int, np.ndarray] = {}
-        self._photo_sel: Dict[int, np.ndarray] = {}
-        self._photo_bucket_cache: Dict[int, np.ndarray] = {}
+        self._photo_cols: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Wavefront state: pending photos whose registration test could
         # have changed since they were last tested.
         self._dirty_pending: Set[int] = set()
@@ -165,24 +146,20 @@ class IncrementalSfm:
         n_buckets = self._config.view_compat_buckets
         spread = self._config.view_compat_spread
         self._full_mask = (1 << n_buckets) - 1
-        self._compat_masks = []
+        # Per bucket: the mask of buckets within ``spread`` of it.
+        compat = []
         for b in range(n_buckets):
             mask = 0
             for d in range(-spread, spread + 1):
                 mask |= 1 << ((b + d) % n_buckets)
-            self._compat_masks.append(mask)
-        self._compat_arr = np.asarray(self._compat_masks, dtype=np.int64)
+            compat.append(mask)
+        self._compat_arr = np.asarray(compat, dtype=np.int64)
 
     # -- public state ----------------------------------------------------------
 
     @property
     def config(self) -> SfmConfig:
         return self._config
-
-    @property
-    def full_rebuild(self) -> bool:
-        """True when the from-scratch escape hatch is active."""
-        return self._scratch
 
     @property
     def n_registered(self) -> int:
@@ -265,58 +242,29 @@ class IncrementalSfm:
     def model(self) -> SfmModel:
         """Snapshot of the current reconstruction.
 
-        Columnar path: O(delta) — the store's frozen sorted columns are
-        shared with the returned cloud (copy-on-write). Escape hatch:
-        from-scratch per-point rebuild, as the original engine did.
+        O(delta): the store's frozen sorted columns are shared with the
+        returned cloud (copy-on-write).
         """
-        if self._scratch:
-            points = [
-                CloudPoint(fid, x, y, z, views)
-                for fid, x, y, z, views in sorted(self._store.rows())
-            ]
-            cloud = PointCloud(points)
-        else:
-            ids, xyz, views = self._store.sorted_columns()
-            cloud = PointCloud.from_columns(ids, xyz, views)
+        ids, xyz, views = self._store.sorted_columns()
+        cloud = PointCloud.from_columns(ids, xyz, views)
         return SfmModel(cloud, list(self._registered.values()))
 
     # -- internals ---------------------------------------------------------------
 
     def _run_registration(self) -> int:
-        """Drive registration to a fixpoint; returns #newly registered.
-
-        Wavefront invariant (columnar path): a pending photo is re-tested
-        only when some feature it observes gained a new view-mask bit
-        since the photo's last test. View masks only ever *gain* bits, so
-        a photo skipped this round would have produced exactly the same
-        (non-registrable) overlap as its last test — skipping is
-        behaviour-preserving, which the differential suite pins against
-        the full-rescan escape hatch.
-        """
+        """Drive registration to a fixpoint; returns #newly registered."""
         registered_count = 0
         if not self._registered:
             registered_count += self._bootstrap()
-        scratch = self._scratch
         progress = True
         while progress:
             progress = False
-            if scratch:
-                candidates = self._pending.photos()
-            else:
-                candidate_ids = sorted(self._dirty_pending)
-                candidates = [self._pending.photo(pid) for pid in candidate_ids]
-                self._m_wave_rounds.inc()
-                self._m_wave_candidates.inc(len(candidates))
-                self._m_wave_skipped.inc(len(self._pending) - len(candidates))
             registrable: List[Photo] = []
-            for photo in candidates:
+            for photo in self._candidates():
                 overlap = self._compatible_overlap(photo)
                 if self._registrable(photo, overlap):
                     registrable.append(photo)
                     self._h_overlap.record(overlap)
-                elif not scratch:
-                    # Clean until some feature of this photo gains a bit.
-                    self._dirty_pending.discard(photo.photo_id)
             for photo in sorted(registrable, key=lambda p: p.photo_id):
                 self._register(photo)
                 registered_count += 1
@@ -328,6 +276,24 @@ class IncrementalSfm:
         self._triangulate()
         return registered_count
 
+    def _candidates(self) -> List[Photo]:
+        """The pending photos to re-test this round: the wavefront.
+
+        A pending photo is re-tested only when some feature it observes
+        gained a new view-mask bit since the photo's last test. View masks
+        only ever *gain* bits, so a photo skipped this round would produce
+        exactly the same (non-registrable) overlap as its last test —
+        skipping is behaviour-preserving, which the differential suite
+        pins against the full-rescan oracle. Every candidate is tested
+        now, so each stays clean until :meth:`_add_views` dirties it.
+        """
+        candidate_ids = sorted(self._dirty_pending)
+        self._dirty_pending.clear()
+        self._m_wave_rounds.inc()
+        self._m_wave_candidates.inc(len(candidate_ids))
+        self._m_wave_skipped.inc(len(self._pending) - len(candidate_ids))
+        return [self._pending.photo(pid) for pid in candidate_ids]
+
     def _register_rigs(self) -> int:
         """Rig fallback for texture-sharing photo groups (Algorithm 6).
 
@@ -336,61 +302,40 @@ class IncrementalSfm:
         their combined world-feature matches reach the (small) rig anchor
         threshold, even if no single photo clears the solo threshold.
         """
-        from collections import defaultdict
-
-        from ..annotation.textures import FEATURES_PER_TEXTURE
-
         rigs = defaultdict(list)
-        if self._scratch:
-            known = set(self._feature_obs)
-            for photo in self._pending.photos():
-                artificial = [
-                    int(f)
-                    for f in photo.feature_ids
-                    if ARTIFICIAL_FEATURE_BASE <= f < REFLECTION_FEATURE_BASE
-                ]
-                if len(artificial) < self._config.rig_texture_matches:
-                    continue
-                texture_block = (artificial[0] - ARTIFICIAL_FEATURE_BASE) // FEATURES_PER_TEXTURE
-                rigs[texture_block].append(photo)
-        else:
-            for photo in self._pending.photos():
-                fidx = self._photo_columns(photo)[0]
-                wild = self._cols.wildcard[fidx]
-                if int(np.count_nonzero(wild)) < self._config.rig_texture_matches:
-                    continue
-                first = int(photo.feature_ids[int(np.argmax(wild))])
-                texture_block = (first - ARTIFICIAL_FEATURE_BASE) // FEATURES_PER_TEXTURE
-                rigs[texture_block].append(photo)
-
+        for photo in self._pending.photos():
+            block = self._texture_block(photo)
+            if block is not None:
+                rigs[block].append(photo)
         registered = 0
         for _block, photos in sorted(rigs.items()):
             if len(photos) < 2:
                 continue
-            if self._scratch:
-                union_matches = set()
-                for photo in photos:
-                    union_matches |= {
-                        f
-                        for f in photo.feature_id_set()
-                        if f < ARTIFICIAL_FEATURE_BASE and f in known
-                    }
-                n_union = len(union_matches)
-            else:
-                chunks = []
-                for photo in photos:
-                    fidx = self._photo_columns(photo)[0]
-                    fids = photo.feature_ids
-                    anchored = (fids < ARTIFICIAL_FEATURE_BASE) & (
-                        self._cols.obs_count[fidx] > 0
-                    )
-                    chunks.append(fids[anchored])
-                n_union = int(np.unique(np.concatenate(chunks)).shape[0]) if chunks else 0
-            if n_union >= self._config.min_rig_anchor_matches:
+            if self._rig_anchors(photos) >= self._config.min_rig_anchor_matches:
                 for photo in sorted(photos, key=lambda p: p.photo_id):
                     self._register(photo)
                     registered += 1
         return registered
+
+    def _texture_block(self, photo: Photo) -> Optional[int]:
+        """Imprinted texture block ``photo`` carries enough matches of, if any."""
+        from ..annotation.textures import FEATURES_PER_TEXTURE
+
+        wild = self._cols.wildcard[self._photo_columns(photo)[0]]
+        if int(np.count_nonzero(wild)) < self._config.rig_texture_matches:
+            return None
+        first = int(photo.feature_ids[int(np.argmax(wild))])
+        return (first - ARTIFICIAL_FEATURE_BASE) // FEATURES_PER_TEXTURE
+
+    def _rig_anchors(self, photos: List[Photo]) -> int:
+        """Distinct world features of a rig that the model already observes."""
+        chunks = []
+        for photo in photos:
+            fidx = self._photo_columns(photo)[0]
+            fids = photo.feature_ids
+            anchored = (fids < ARTIFICIAL_FEATURE_BASE) & (self._cols.obs_count[fidx] > 0)
+            chunks.append(fids[anchored])
+        return int(np.unique(np.concatenate(chunks)).shape[0])
 
     def _resolve_feature(self, fid: int) -> Tuple[float, float, bool]:
         """Intern-time classification for :class:`FeatureColumns`.
@@ -404,28 +349,37 @@ class IncrementalSfm:
         feature = self._world.feature(fid)
         return (feature.position.x, feature.position.y, False)
 
-    def _photo_columns(
-        self, photo: Photo
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(dense idx, buckets, or-bits, compat-select) for one photo, cached.
+    def _photo_columns(self, photo: Photo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dense idx, or-bits, compat-select) for one photo, cached.
 
-        Buckets reproduce the original scalar formula elementwise:
-        ``int((atan2(cy - fy, cx - fx) + pi) / (2 pi) * n) % n`` with 255
-        marking wildcard observations; the vectorized arctan2/truncation
-        is bit-identical to ``math.atan2`` + ``int()`` on the same floats
-        (pinned by tests/test_sfm_equivalence.py).
+        Wildcard observations set and select every bucket; the others set
+        their own bucket's bit and select the buckets compatible with it.
         """
         pid = photo.photo_id
-        fidx = self._photo_fidx.get(pid)
-        if fidx is not None:
-            return (
-                fidx,
-                self._photo_bucket_cache[pid],
-                self._photo_bits[pid],
-                self._photo_sel[pid],
-            )
-        n_buckets = self._config.view_compat_buckets
+        cached = self._photo_cols.get(pid)
+        if cached is not None:
+            return cached
         fidx = self._cols.intern_many(photo.feature_ids)
+        wild, raw = self._view_buckets(photo, fidx)
+        bits = np.where(wild, self._full_mask, np.int64(1) << raw)
+        sel = np.where(wild, self._full_mask, self._compat_arr[raw])
+        cached = self._photo_cols[pid] = (fidx, bits, sel)
+        return cached
+
+    def _view_buckets(self, photo: Photo, fidx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(wildcard flag, angular bucket) of each observation of ``photo``.
+
+        The bucket is that of the camera as seen from the observed
+        feature, the original scalar formula applied elementwise:
+        ``int((atan2(cy - fy, cx - fx) + pi) / (2 pi) * n) % n``; the
+        vectorized arctan2/truncation is bit-identical to ``math.atan2`` +
+        ``int()`` on the same floats (pinned by
+        tests/test_sfm_equivalence.py). Wildcard observations
+        (artificial-texture matches) are viewpoint-insensitive — the
+        imprinted pattern is identical in every photo of the set — and
+        their bucket is meaningless.
+        """
+        n_buckets = self._config.view_compat_buckets
         wild = self._cols.wildcard[fidx]
         cx = photo.true_pose.position.x
         cy = photo.true_pose.position.y
@@ -433,49 +387,21 @@ class IncrementalSfm:
         dy = np.where(wild, 0.0, cy - self._cols.y[fidx])
         angle = np.arctan2(dy, dx)
         raw = ((angle + np.pi) / (2.0 * np.pi) * n_buckets).astype(np.int64) % n_buckets
-        buckets = np.where(wild, WILDCARD_BUCKET, raw).astype(np.uint8)
-        bits = np.where(wild, self._full_mask, np.int64(1) << raw)
-        sel = np.where(wild, self._full_mask, self._compat_arr[raw])
-        self._photo_fidx[pid] = fidx
-        self._photo_bucket_cache[pid] = buckets
-        self._photo_bits[pid] = bits
-        self._photo_sel[pid] = sel
-        return fidx, buckets, bits, sel
-
-    def _buckets_for(self, photo: Photo) -> np.ndarray:
-        """Angular bucket of the camera as seen from each observed feature.
-
-        255 marks wildcard observations (artificial-texture matches are
-        viewpoint-insensitive: the imprinted pattern is identical in every
-        photo of the set).
-        """
-        return self._photo_columns(photo)[1]
+        return wild, raw
 
     def _compatible_overlap(self, photo: Photo) -> int:
         """Matches against the model restricted to compatible viewpoints.
 
         A real pipeline cannot match descriptors across wide baselines: a
         feature only matches if some registered photo observed it from a
-        nearby direction. Columnar path: one gather + bitmask intersect
-        over the photo's dense feature indices (a zero view mask means the
-        feature is unknown to the model, so ``mask & sel`` is zero for
-        exactly the observations the original dict loop skipped).
+        nearby direction. One gather + bitmask intersect over the photo's
+        dense feature indices (a zero view mask means the feature is
+        unknown to the model, so ``mask & sel`` is zero for exactly the
+        observations a per-feature dict loop would skip).
         """
-        if not self._scratch:
-            fidx, _buckets, _bits, sel = self._photo_columns(photo)
-            masks = self._cols.view_mask[fidx]
-            return int(np.count_nonzero(masks & sel))
-        buckets = self._buckets_for(photo)
-        masks = self._view_masks
-        compat = self._compat_masks
-        count = 0
-        for fid, bucket in zip(photo.feature_ids, buckets):
-            mask = masks.get(int(fid))
-            if mask is None:
-                continue
-            if bucket == WILDCARD_BUCKET or mask & compat[bucket]:
-                count += 1
-        return count
+        fidx, _bits, sel = self._photo_columns(photo)
+        masks = self._cols.view_mask[fidx]
+        return int(np.count_nonzero(masks & sel))
 
     def _registrable(self, photo: Photo, overlap: int) -> bool:
         """Registration test: enough absolute matches, or a feature-poor
@@ -502,7 +428,6 @@ class IncrementalSfm:
 
     def _register(self, photo: Photo) -> None:
         pid = photo.photo_id
-        fidx, buckets, bits, _sel = self._photo_columns(photo)
         self._pending.remove(pid)
         self._dirty_pending.discard(pid)
         pose = self._recover_pose(photo)
@@ -517,16 +442,13 @@ class IncrementalSfm:
         self._new_camera_ids.append(pid)
         for fid in photo.feature_ids:
             self._feature_obs.setdefault(int(fid), set()).add(pid)
-        if self._scratch:
-            full = self._full_mask
-            for fid, bucket in zip(photo.feature_ids, buckets):
-                fid = int(fid)
-                if bucket == WILDCARD_BUCKET:
-                    self._view_masks[fid] = full
-                else:
-                    self._view_masks[fid] = self._view_masks.get(fid, 0) | (1 << int(bucket))
-            return
-        # Columnar path: vectorized mask update + wavefront propagation.
+        self._add_views(photo)
+
+    def _add_views(self, photo: Photo) -> None:
+        """A registered photo's view bits join the model: vectorized mask
+        update, triangulation queue, and wavefront propagation to the
+        pending photos that observe a feature which gained a bit."""
+        fidx, bits, _sel = self._photo_columns(photo)
         cols = self._cols
         old = cols.view_mask[fidx].copy()
         np.bitwise_or.at(cols.view_mask, fidx, bits)
@@ -561,22 +483,10 @@ class IncrementalSfm:
     def _triangulate(self) -> None:
         """Create points for features with enough registered observations.
 
-        Columnar path: only features whose observer set grew (or whose
-        oracle position was registered) since the last fixpoint are
-        checked; the escape hatch scans the whole observation table as the
-        original engine did.
+        Only features whose observer set grew (or whose oracle position
+        was registered) since the last fixpoint are checked.
         """
         min_views = self._config.min_views_per_point
-        if self._scratch:
-            cols = self._cols
-            for fid, observers in self._feature_obs.items():
-                dense = cols.index_of(fid)
-                if dense is not None and cols.has_point[dense]:
-                    continue
-                if len(observers) < min_views:
-                    continue
-                self._make_point(fid, dense, observers)
-            return
         if not self._dirty_features:
             return
         dirty = np.unique(np.concatenate(self._dirty_features))
@@ -588,7 +498,7 @@ class IncrementalSfm:
             fid = int(cols.ids[dense])
             self._make_point(fid, int(dense), self._feature_obs[fid])
 
-    def _make_point(self, fid: int, dense: Optional[int], observers: Set[int]) -> None:
+    def _make_point(self, fid: int, dense: int, observers: Set[int]) -> None:
         position = self._feature_position(fid)
         if position is None:
             return  # artificial feature whose oracle position is not known yet
@@ -596,8 +506,7 @@ class IncrementalSfm:
         self._m_points_new.inc()
         self._h_point_views.record(len(observers))
         self._store.append(fid, noisy[0], noisy[1], noisy[2], len(observers))
-        if dense is not None:
-            self._cols.has_point[dense] = True
+        self._cols.has_point[dense] = True
 
     def _feature_position(self, fid: int) -> Optional[Vec3]:
         if fid >= ARTIFICIAL_FEATURE_BASE:

@@ -19,7 +19,7 @@ does) tolerate reordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..config import FaultConfig, NetworkConfig
@@ -154,42 +154,16 @@ class Channel:
         finishes the previous one (FIFO), then takes latency + size/bw.
         Under fault injection the message may instead be lost (recorded
         with a ``dropped`` status, handler never fires), duplicated
-        (handler fires twice), or delayed by jitter.
+        (handler fires twice), or delayed by jitter. A disabled
+        :class:`FaultConfig` has no window to check and no probability to
+        draw against, so the channel then draws nothing from its RNG.
         """
         sent_at = self._sim.now
         transfer = self.transfer_time(size_mb)
         self._m_messages.inc()
         self._m_traffic.inc(size_mb)
-
-        if self._faults.enabled:
-            return self._send_with_faults(payload, handler, size_mb, label, sent_at, transfer)
-
-        start = max(sent_at, self._busy_until)
-        delivered_at = start + self._config.latency_s + transfer
-        self._busy_until = delivered_at
-        record = Delivery(sent_at=sent_at, delivered_at=delivered_at, size_mb=size_mb, label=label)
-        self._deliveries.append(record)
-        self._h_transfer.record(delivered_at - sent_at)
-        self._trace_transfer(label, sent_at, delivered_at, size_mb, DELIVERED)
-        self._sim.schedule_at(
-            delivered_at, lambda: handler(payload), label=f"{self._name}:{label}"
-        )
-        return record
-
-    # -- fault injection ----------------------------------------------------------
-
-    def _send_with_faults(
-        self,
-        payload: Any,
-        handler: MessageHandler,
-        size_mb: float,
-        label: str,
-        sent_at: float,
-        transfer: float,
-    ) -> Delivery:
         faults = self._faults
         rng = self._rng
-        assert rng is not None  # enforced in __init__
 
         if faults.in_disconnect(sent_at):
             # The radio is off: the message never makes it onto the air.

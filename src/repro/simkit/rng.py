@@ -10,7 +10,7 @@ others, so experiment results are stable across refactors.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 

@@ -13,8 +13,9 @@ simulation, an entire crowd-mapping deployment is a pure function of
   exactness *while the simulation runs*;
 * :mod:`~repro.testkit.harness` — runs one scenario under the registry,
   with end-of-run determinism (seed twice -> byte-identical report and
-  metrics/trace digests), the ``full_rebuild`` scratch-twin diff, and
-  the crash-restart vs crash-free convergence twin;
+  metrics/trace digests), the scratch-twin diff against a run on the
+  from-scratch SfM oracle, and the crash-restart vs crash-free
+  convergence twin;
 * :mod:`~repro.testkit.shrink` — delta-debugs a failing scenario down
   to a minimal reproduction;
 * :mod:`~repro.testkit.artifact` — replayable failing-seed artifacts;

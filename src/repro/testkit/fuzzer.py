@@ -319,8 +319,8 @@ def run_fuzz(
     """Run a fuzz campaign batch (see module docstring).
 
     ``scratch_twin_every=N`` additionally diffs every N-th campaign
-    against its ``full_rebuild=True`` twin (0 disables — the twin
-    doubles that campaign's cost). ``crashes=True`` forces a seeded
+    against its twin on the from-scratch SfM oracle (0 disables — the
+    twin doubles that campaign's cost). ``crashes=True`` forces a seeded
     backend crash-restart schedule (plus persistence) onto every
     sampled scenario, concentrating the batch on the durability
     subsystem; ``storage_faults=True`` goes further and also arms the

@@ -12,8 +12,8 @@ Failure classes:
   escaping the event loop is as much a bug as a broken invariant);
 * ``determinism`` — the same scenario run twice produced different
   reports or metrics/trace digests;
-* ``scratch-twin`` — the incremental deployment and its
-  ``full_rebuild=True`` twin diverged;
+* ``scratch-twin`` — the deployment and its twin on the from-scratch
+  SfM oracle (:class:`~repro.sfm.scratch.ScratchSfm`) diverged;
 * ``crash-twin`` — a crash-restart campaign converged to a different
   final coverage / task outcome than its crash-free same-seed twin
   (only checked when :attr:`Scenario.crash_twin_eligible`).
@@ -35,7 +35,7 @@ uninstrumented run too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import UnrecoverableStateError
 from ..obs import Telemetry
@@ -47,7 +47,7 @@ from .digests import (
     trace_projection,
 )
 from .invariants import InvariantRegistry, InvariantViolationError, Violation
-from .mutations import apply_mutation
+from .mutations import _patched, apply_mutation
 from .scenario import Scenario
 
 
@@ -80,17 +80,13 @@ class CampaignResult:
 
 
 def _run_once(
-    scenario: Scenario,
-    mutation: Optional[str],
-    full_rebuild: bool = False,
+    scenario: Scenario, mutation: Optional[str]
 ) -> Tuple[object, Telemetry, InvariantRegistry]:
     """One instrumented, invariant-checked deployment run."""
     telemetry = Telemetry.enable()
     registry = InvariantRegistry(checkpoint_every=scenario.checkpoint_every)
     with apply_mutation(mutation):
-        deployment = scenario.make_deployment(
-            telemetry=telemetry, full_rebuild=full_rebuild
-        )
+        deployment = scenario.make_deployment(telemetry=telemetry)
         registry.attach(deployment)
         try:
             report = deployment.run(
@@ -201,20 +197,27 @@ def _determinism_diff(
 def _scratch_twin_diff(
     scenario: Scenario, mutation: Optional[str], report
 ) -> Optional[str]:
-    """The full_rebuild oracle twin must reproduce the deployment exactly.
+    """The twin on the from-scratch SfM oracle must reproduce the run exactly.
 
-    Only the :class:`DeploymentReport` is compared: the incremental and
-    from-scratch pipelines intentionally differ in their *internal*
-    telemetry (wavefront counters, cache histograms), but every
+    The twin's pipeline builds :class:`~repro.sfm.scratch.ScratchSfm` in
+    place of the columnar engine. Its SOR filter and maps stay
+    incremental: the twin's own invariant registry checks them against
+    ``sor_filter`` and the Algorithm 2+3 rebuilds. Only the
+    :class:`DeploymentReport` is compared: the two engines intentionally
+    differ in their *internal* telemetry (wavefront counters), but every
     externally observable output must match.
     """
+    from ..core import pipeline
+    from ..sfm.scratch import ScratchSfm
+
     try:
-        twin, _telemetry, _registry = _run_once(scenario, mutation, full_rebuild=True)
+        with _patched(pipeline, "IncrementalSfm", lambda _columnar: ScratchSfm):
+            twin, _telemetry, _registry = _run_once(scenario, mutation)
     except Exception as exc:  # noqa: BLE001
-        return f"full_rebuild twin raised {type(exc).__name__}: {exc}"
+        return f"scratch twin raised {type(exc).__name__}: {exc}"
     detail = diff_projections(report_projection(report), report_projection(twin))
     if detail is not None:
-        return f"full_rebuild twin diverged: {detail}"
+        return f"scratch twin diverged: {detail}"
     return None
 
 

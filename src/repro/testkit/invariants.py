@@ -25,7 +25,7 @@ failing-seed artifacts actionable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

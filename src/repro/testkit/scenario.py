@@ -81,7 +81,8 @@ class Scenario:
     max_events: int = 40_000
     #: Oracle (map/SOR exactness) checks run every N processed batches.
     checkpoint_every: int = 4
-    #: Also diff the whole run against its ``full_rebuild=True`` twin.
+    #: Also diff the whole run against its twin on the from-scratch SfM
+    #: oracle (:class:`~repro.sfm.scratch.ScratchSfm`).
     scratch_twin: bool = False
 
     # ------------------------------------------------------------------
@@ -280,7 +281,7 @@ class Scenario:
         venue = generate_office(spec, RngStream(self.venue_seed, "testkit/office"))
         return Workbench(venue, self.make_config())
 
-    def make_deployment(self, telemetry=None, full_rebuild: bool = False):
+    def make_deployment(self, telemetry=None):
         """Build the deployment (bench + clients + faults) for this scenario."""
         from ..server import Deployment
 
@@ -291,7 +292,6 @@ class Scenario:
             dropouts=dict(self.dropouts) or None,
             dropout_hazard=self.dropout_hazard,
             telemetry=telemetry,
-            full_rebuild=full_rebuild,
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ the custom-venue example, robustness checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..errors import VenueError
 from ..geometry import Polygon, Vec2

@@ -18,12 +18,11 @@ behind glass.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..geometry import Polygon, Segment, Vec2
 from .materials import (
     BOOKSHELF,
-    FACADE,
     BRICK,
     DESK,
     FABRIC,

@@ -14,12 +14,11 @@ layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import VenueError
 from ..geometry import BoundingBox, Polygon, SegmentSoup, Vec2
-from .materials import Material
 from .surfaces import Surface, SurfaceKind
 
 

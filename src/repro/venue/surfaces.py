@@ -10,7 +10,7 @@ and annotation corners live in 3-D.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import VenueError

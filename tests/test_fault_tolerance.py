@@ -218,11 +218,15 @@ class TestTaskLeases:
         a = server.handle_task_request(TaskRequest("c0", request_id="c0:r1"))
         b = server.handle_task_request(TaskRequest("c1", request_id="c1:r1"))
         assert a.task is not None and b.task is not None
-        # Jump past expiry without draining the queue (manual sweep form).
+        # Jump past expiry without draining the queue (manual stepping).
         sim.schedule(70.0, lambda: None)
         while sim.now < 70.0 and sim.step():
             pass
-        assert server.reap_expired() == 0  # event-driven reaper already ran
+        # The event-driven reaper already ran: no expired lease is left
+        # for a sweep to find.
+        assert not [
+            lease for lease in server.store.active_leases() if lease.expired(sim.now)
+        ]
         assert server.store.counter("tasks_requeued") == 2
 
     def test_duplicate_request_does_not_leak_a_second_lease(self, bench):

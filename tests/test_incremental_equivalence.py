@@ -15,7 +15,9 @@ the from-scratch functions — not "close enough". This suite enforces it:
   directly, and after every update each cached camera wedge must equal a
   fresh ray march against the current obstacles;
 * unsorted and duplicate-id clouds exercise the columnar cloud diff;
-* the ``full_rebuild`` escape hatch is proven to be behaviour-preserving.
+* a long-lived engine matches a fresh engine built from each state alone,
+  and a pipeline on the columnar SfM engine emits the same maps as one on
+  the from-scratch :class:`~repro.sfm.scratch.ScratchSfm` oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ from repro.mapping import (
     calculate_visibility_map,
     camera_visible_cells,
 )
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import SnapTaskPipeline
 from repro.errors import MappingError
-from repro.sfm import PointCloud, SfmModel
+from repro.sfm import IncrementalSfm, PointCloud, SfmModel
 from repro.sfm.model import RecoveredCamera
 from repro.sfm.pointcloud import CloudPoint
+from repro.sfm.scratch import ScratchSfm
 from repro.simkit import RngStream
 from repro.venue.features import ARTIFICIAL_FEATURE_BASE
 
@@ -279,7 +283,7 @@ class TestSyntheticDeltas:
             with pytest.raises(MappingError):
                 IncrementalMapEngine(small_spec(), max_range_m=bad)
 
-    def test_full_rebuild_escape_hatch_is_identical(self):
+    def test_fresh_engine_per_state_is_identical(self):
         spec = small_spec()
         wall_a = wall_points(0, 6.0, 2.0, 6.0)
         wall_b = wall_points(10_000, 9.0, 2.0, 6.0)
@@ -291,12 +295,11 @@ class TestSyntheticDeltas:
             (wall_a[5:] + wall_b, [cam1, cam2]),
         ]
         incremental = IncrementalMapEngine(spec)
-        scratch = IncrementalMapEngine(spec)
         for cloud, cameras in states:
             model = SfmModel(PointCloud(cloud), cameras)
             a = incremental.update(model)
-            b = scratch.update(model, full_rebuild=True)
-            assert b.full_rebuild and not a.full_rebuild
+            b = IncrementalMapEngine(spec).update(model)
+            assert b.cameras_added == len(cameras) and b.points_removed == 0
             np.testing.assert_array_equal(
                 a.maps.obstacles.data, b.maps.obstacles.data
             )
@@ -335,7 +338,6 @@ class TestColumnarCloudDiff:
             for field in (
                 "covered_cells", "points_added", "points_removed", "cameras_added",
                 "cameras_refreshed", "cameras_reused", "dirty_obstacle_cells",
-                "full_rebuild",
             ):
                 assert getattr(a, field) == getattr(b, field), field
             assert_wedges_exact(shuffled)
@@ -560,17 +562,20 @@ class TestGuidedCampaignEquivalence:
 
 
 # --------------------------------------------------------------------------
-# Pipeline-level escape hatch on real photos
+# Pipeline on the from-scratch SfM oracle, on real photos
 # --------------------------------------------------------------------------
 
 
-class TestPipelineEscapeHatch:
-    def test_full_rebuild_pipeline_matches_incremental(self, bench):
-        """Two pipelines on identical RNG streams — one incremental, one
-        forced from-scratch — must emit identical maps batch for batch."""
+class TestPipelineOracle:
+    def test_scratch_sfm_pipeline_maps_match(self, bench, monkeypatch):
+        """Two pipelines on identical RNG streams — one on the columnar SfM
+        engine, one on the from-scratch oracle — must emit identical maps
+        batch for batch, and each batch's maps must equal those a fresh
+        map engine builds from that batch's model alone."""
         photos = _deterministic_photos(bench)
         outcomes = {}
-        for label, full_rebuild in (("inc", False), ("scratch", True)):
+        for label, engine_cls in (("inc", IncrementalSfm), ("scratch", ScratchSfm)):
+            monkeypatch.setattr(pipeline_module, "IncrementalSfm", engine_cls)
             pipeline = SnapTaskPipeline(
                 bench.world,
                 bench.config,
@@ -578,9 +583,8 @@ class TestPipelineEscapeHatch:
                 bench.venue.entrance,
                 RngStream(777, "escape-hatch"),
                 site_mask=bench.ground_truth.region_mask,
-                full_rebuild=full_rebuild,
             )
-            assert pipeline.full_rebuild is full_rebuild
+            assert type(pipeline.sfm) is engine_cls
             chunk = 20
             outcomes[label] = [
                 pipeline.process_batch(photos[i : i + chunk])
@@ -594,10 +598,23 @@ class TestPipelineEscapeHatch:
                 a.maps.visibility.data, b.maps.visibility.data
             )
             assert a.coverage_cells == b.coverage_cells
+            fresh = IncrementalMapEngine(
+                bench.spec,
+                obstacle_threshold=bench.config.tasks.obstacle_threshold,
+                max_range_m=bench.config.sfm.visibility_range_m,
+                site_mask=bench.ground_truth.region_mask,
+            ).update(a.model)
+            np.testing.assert_array_equal(
+                a.maps.obstacles.data, fresh.maps.obstacles.data
+            )
+            np.testing.assert_array_equal(
+                a.maps.visibility.data, fresh.maps.visibility.data
+            )
+            assert a.coverage_cells == fresh.covered_cells
 
 
 def _deterministic_photos(bench):
-    """A fixed photo batch shared by both escape-hatch pipelines."""
+    """A fixed photo batch shared by both pipelines."""
     pipeline = SnapTaskPipeline(
         bench.world,
         bench.config,

@@ -1,24 +1,28 @@
-"""Differential oracle: the columnar SfM wavefront vs the from-scratch path.
+"""Differential oracle: the columnar SfM wavefront vs the from-scratch engine.
 
 The columnar engine (dense feature interning, registration wavefront,
 dirty-feature triangulation, O(delta) snapshots) and the incremental SOR
 filter replace per-batch O(model) scans in the pipeline. Their correctness
 contract is *bit-exactness* against the preserved from-scratch
-implementations — not "close enough". This suite enforces it:
+implementations — the :class:`~repro.sfm.scratch.ScratchSfm` oracle and
+``sor_filter`` — not "close enough". This suite enforces it:
 
 * hypothesis drives random batch partitions of a real photo pool through
-  both engine strategies and pins registration order, reports and cloud
-  arrays identical;
-* a targeted scenario pins the rig-registration count (`newly_registered`
-  used to report at most 1 when `_register_rigs` registered several);
+  both engines and pins registration order, reports and cloud arrays
+  identical;
+* a targeted scenario pins the rig-registration count on both engines
+  (`newly_registered` used to report at most 1 when `_register_rigs`
+  registered several);
 * the vectorized view-compat bucket computation is pinned against the
   original scalar formula;
 * `IncrementalSorFilter` masks are pinned bit-identical to `sor_mask` on
   grown clouds *and* on contract-violating inputs (moved/removed points);
 * vectorized `PointCloud.subset` / `merged_with` are pinned against a
   per-point reference implementation;
-* two full pipelines (incremental vs ``full_rebuild=True``) must emit
-  byte-identical filtered clouds, reports and coverage, batch for batch.
+* two full pipelines (on the columnar engine and on the oracle) must
+  emit byte-identical filtered clouds, reports and coverage, batch for
+  batch, and every batch's filtered cloud and maps must equal
+  ``sor_filter`` of the raw model and the Algorithm 2+3 rebuilds.
 """
 
 from __future__ import annotations
@@ -31,17 +35,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.annotation.textures import FEATURES_PER_TEXTURE
 from repro.camera import GALAXY_S7
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import SnapTaskPipeline
 from repro.geometry import Vec2, Vec3
-from repro.sfm import (
-    IncrementalSfm,
-    IncrementalSorFilter,
-    PointCloud,
-    sor_filter,
-    sor_filter_incremental,
-    sor_mask,
-)
+from repro.mapping import calculate_obstacles_map, calculate_visibility_map
+from repro.sfm import IncrementalSfm, IncrementalSorFilter, PointCloud, sor_filter, sor_mask
 from repro.sfm.pointcloud import CloudPoint
+from repro.sfm.scratch import ScratchSfm
 from repro.simkit import RngStream
 from repro.venue.features import ARTIFICIAL_FEATURE_BASE
 
@@ -59,21 +59,16 @@ def photo_pool(bench):
     return photos
 
 
-def run_engine(bench, batches, full_rebuild):
-    engine = IncrementalSfm(
-        bench.world,
-        bench.config.sfm,
-        RngStream(4242, "sfm-equiv"),
-        full_rebuild=full_rebuild,
-    )
+def run_engine(bench, batches, engine_cls):
+    engine = engine_cls(bench.world, bench.config.sfm, RngStream(4242, "sfm-equiv"))
     reports = [engine.add_photos(batch) for batch in batches]
     return engine, reports
 
 
 def assert_engines_identical(bench, batches):
-    inc, inc_reports = run_engine(bench, batches, full_rebuild=False)
-    scr, scr_reports = run_engine(bench, batches, full_rebuild=True)
-    assert inc.full_rebuild is False and scr.full_rebuild is True
+    inc, inc_reports = run_engine(bench, batches, IncrementalSfm)
+    scr, scr_reports = run_engine(bench, batches, ScratchSfm)
+    assert not isinstance(inc, ScratchSfm) and isinstance(scr, ScratchSfm)
     # Same photos registered, in the same order.
     assert inc.registration_log() == scr.registration_log()
     assert inc.registered_ids() == scr.registered_ids()
@@ -123,7 +118,7 @@ class TestWavefrontEquivalence:
 
     def test_artificial_features_requeue_triangulation(self, bench, photo_pool):
         """Oracle positions arriving *after* the observers registered must
-        re-trigger triangulation identically on both paths."""
+        re-trigger triangulation identically on both engines."""
         fid = ARTIFICIAL_FEATURE_BASE + 3
         base = sweep(bench, 3, 3)
         imprinted = [
@@ -132,21 +127,16 @@ class TestWavefrontEquivalence:
         ]
         followup = sweep(bench, 3.4, 3.4)
 
-        def run(full_rebuild):
-            engine = IncrementalSfm(
-                bench.world,
-                bench.config.sfm,
-                RngStream(77, "late-oracle"),
-                full_rebuild=full_rebuild,
-            )
+        def run(engine_cls):
+            engine = engine_cls(bench.world, bench.config.sfm, RngStream(77, "late-oracle"))
             engine.add_photos(base)
             engine.add_photos(imprinted)  # observers register, no position yet
             engine.register_artificial_features([fid], [Vec3(3.4, 3.3, 1.1)])
             report = engine.add_photos(followup)
             return engine, report
 
-        inc, r_inc = run(False)
-        scr, r_scr = run(True)
+        inc, r_inc = run(IncrementalSfm)
+        scr, r_scr = run(ScratchSfm)
         assert r_inc == r_scr
         assert fid in set(int(f) for f in inc.model().cloud.feature_ids)
         np.testing.assert_array_equal(
@@ -179,14 +169,10 @@ class TestRigRegistrationCount:
             rig.append(photo.with_extra_observations(extra, uv, "rig"))
         return rig
 
-    @pytest.mark.parametrize("full_rebuild", [False, True])
-    def test_rig_registrations_all_counted(self, bench, full_rebuild):
-        engine = IncrementalSfm(
-            bench.world,
-            bench.config.sfm,
-            RngStream(11, "rig-count"),
-            full_rebuild=full_rebuild,
-        )
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_rig_registrations_all_counted(self, bench, scratch):
+        engine_cls = ScratchSfm if scratch else IncrementalSfm
+        engine = engine_cls(bench.world, bench.config.sfm, RngStream(11, "rig-count"))
         base = sweep(bench, 3, 3)
         engine.add_photos(base)
         rig = self._rig_batch(bench, engine, base)
@@ -212,7 +198,7 @@ class TestBucketVectorization:
         )
         n = bench.config.sfm.view_compat_buckets
         for photo in photo_pool[:25]:
-            vec = engine._buckets_for(photo)
+            _wild, vec = engine._view_buckets(photo, engine._photo_columns(photo)[0])
             cx = photo.true_pose.position.x
             cy = photo.true_pose.position.y
             for j, fid in enumerate(photo.feature_ids):
@@ -319,12 +305,12 @@ class TestIncrementalSorEquivalence:
         xyz = rng.normal(0.0, 1.0, (120, 3))
         cloud = _cloud_from_xyz(np.arange(120), xyz)
         state = IncrementalSorFilter()
-        got = sor_filter_incremental(cloud, state)
+        got = state.filter(cloud)
         want = sor_filter(cloud)
         np.testing.assert_array_equal(got.feature_ids, want.feature_ids)
         np.testing.assert_array_equal(got.xyz, want.xyz)
         # Second call reuses the cache but must stay identical.
-        again = sor_filter_incremental(cloud, state)
+        again = state.filter(cloud)
         np.testing.assert_array_equal(again.feature_ids, want.feature_ids)
 
 
@@ -397,18 +383,39 @@ class TestPointCloudVectorized:
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: incremental vs full_rebuild, byte for byte
+# Full pipeline: columnar engine vs the oracle, byte for byte
 # ---------------------------------------------------------------------------
 
 
+def assert_batch_matches_references(bench, pipeline, outcome):
+    """The batch's filtered cloud is ``sor_filter`` of the raw model, and
+    its maps are the Algorithm 2+3 rebuilds from that filtered cloud."""
+    config = bench.config
+    want = sor_filter(
+        pipeline.model().cloud, config.sfm.sor_neighbors, config.sfm.sor_std_ratio
+    )
+    got = outcome.model.cloud
+    np.testing.assert_array_equal(got.feature_ids, want.feature_ids)
+    np.testing.assert_array_equal(got.xyz, want.xyz)
+    np.testing.assert_array_equal(got.view_counts, want.view_counts)
+    obstacles = calculate_obstacles_map(got, bench.spec, config.tasks.obstacle_threshold)
+    visibility = calculate_visibility_map(
+        outcome.model, obstacles, config.sfm.visibility_range_m
+    )
+    np.testing.assert_array_equal(outcome.maps.obstacles.data, obstacles.data)
+    np.testing.assert_array_equal(outcome.maps.visibility.data, visibility.data)
+
+
 class TestPipelineDifferential:
-    def test_pipelines_bit_identical(self, bench):
+    def test_pipelines_bit_identical(self, bench, monkeypatch):
         """Algorithm 1 end-to-end: the columnar engine + incremental SOR
         must leave no trace — clouds, reports, tasks and coverage match the
-        from-scratch pipeline on every batch."""
+        pipeline on the from-scratch engine on every batch, and each
+        batch matches the from-scratch SOR and map references."""
         photos = self._photos(bench)
         outcomes = {}
-        for label, full_rebuild in (("inc", False), ("scratch", True)):
+        for label, engine_cls in (("inc", IncrementalSfm), ("scratch", ScratchSfm)):
+            monkeypatch.setattr(pipeline_module, "IncrementalSfm", engine_cls)
             pipeline = SnapTaskPipeline(
                 bench.world,
                 bench.config,
@@ -416,13 +423,14 @@ class TestPipelineDifferential:
                 bench.venue.entrance,
                 RngStream(1234, "sfm-pipe-equiv"),
                 site_mask=bench.ground_truth.region_mask,
-                full_rebuild=full_rebuild,
             )
+            assert type(pipeline.sfm) is engine_cls
             chunk = 25
-            outcomes[label] = [
-                pipeline.process_batch(photos[i : i + chunk])
-                for i in range(0, len(photos), chunk)
-            ]
+            outcomes[label] = []
+            for i in range(0, len(photos), chunk):
+                outcome = pipeline.process_batch(photos[i : i + chunk])
+                assert_batch_matches_references(bench, pipeline, outcome)
+                outcomes[label].append(outcome)
         assert len(outcomes["inc"]) > 2
         for a, b in zip(outcomes["inc"], outcomes["scratch"]):
             assert a.report == b.report
