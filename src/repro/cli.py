@@ -8,7 +8,7 @@ Commands:
 * ``deploy``    — the client/server deployment simulation
 * ``export``    — run a guided campaign and export the floor plan
                    (PGM + JSON)
-* ``trace``     — run the deployment with telemetry enabled and dump
+* ``trace``     — run the deployment traced and dump
                    ``trace.json`` (Perfetto), ``metrics.json`` and
                    ``BENCH_pipeline.json``
 * ``fuzz``      — deterministic simulation-testing campaigns: seeded
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--output", default="floorplan-out")
 
     p_trace = sub.add_parser(
-        "trace", help="run the deployment with telemetry on; dump trace + metrics"
+        "trace", help="run the deployment traced; dump trace + metrics"
     )
     p_trace.add_argument("--clients", type=int, default=3)
     p_trace.add_argument("--until", type=float, default=20_000.0)

@@ -73,7 +73,6 @@ class SfmConfig:
     camera_yaw_noise_deg: float = 0.8
     sor_neighbors: int = 8
     sor_std_ratio: float = 2.0
-    reflection_noise_rate: float = 0.015
     # Backlight: indoor photos dominated by bright glass/windows lose
     # contrast; feature detection drops as glass fills the frame.
     backlight_strength: float = 0.95
@@ -402,9 +401,6 @@ class PersistConfig:
     #: every commit (shortest replay, most copying); larger values trade
     #: replay length for checkpoint work.
     snapshot_every_batches: int = 8
-    #: Re-run recovery twice and cross-check the recovered-state digests
-    #: (idempotence audit). Cheap relative to a crash; on by default.
-    audit_recovery: bool = True
     #: Checkpoint generations retained (newest N, plus genesis which is
     #: never pruned). More generations give the recovery ladder deeper
     #: fallback rungs when storage faults damage the newest image(s).
@@ -490,7 +486,6 @@ class SnapTaskConfig:
     def with_persistence(
         self,
         snapshot_every_batches: int = 8,
-        audit_recovery: bool = True,
         snapshot_retain: int = 3,
         storage_faults: Optional["StorageFaultConfig"] = None,
     ) -> "SnapTaskConfig":
@@ -500,7 +495,6 @@ class SnapTaskConfig:
             persist=PersistConfig(
                 enabled=True,
                 snapshot_every_batches=snapshot_every_batches,
-                audit_recovery=audit_recovery,
                 snapshot_retain=snapshot_retain,
                 storage_faults=storage_faults,
             ),

@@ -38,7 +38,7 @@ from ..mapping import (
     IncrementalMapEngine,
     MapUpdate,
 )
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import Telemetry
 from ..obs.wallclock import wall_now_s
 from ..sfm import IncrementalSfm, IncrementalSorFilter, RegistrationReport, SfmModel
 from ..simkit.rng import RngStream
@@ -90,12 +90,11 @@ class SnapTaskPipeline:
         self._spec = spec
         self._initial_position = initial_position
         self._site_mask = site_mask
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
+        obs = telemetry if telemetry is not None else Telemetry()
         self._tracer = obs.tracer
         metrics = obs.metrics
         # Wall-time phase histograms (seconds); BENCH_pipeline.json is
         # derived from exactly these names (repro.obs.bench.PHASE_PREFIX).
-        self._obs_on = bool(self._tracer.enabled or metrics.enabled)
         self._h_phase = {
             name: metrics.histogram(f"repro.pipeline.phase.{name}")
             for name in ("registration", "map_merge", "unvisited", "task_gen", "total")
@@ -203,16 +202,14 @@ class SnapTaskPipeline:
             raise TaskGenerationError("empty photo batch")
         self._iteration += 1
         previous_coverage = self._coverage_cells
-        obs_on = self._obs_on
-        t_total = wall_now_s() if obs_on else 0.0
+        t_total = wall_now_s()
 
         t0 = t_total
         report = self._sfm.add_photos(photos)  # line 1
         model = self._sfm.model()
         filtered_cloud = self._sor.filter(model.cloud)  # line 2
-        if obs_on:
-            self._phase("registration", t0, photos=len(photos))
-            t0 = wall_now_s()
+        self._phase("registration", t0, photos=len(photos))
+        t0 = wall_now_s()
         # Lines 3-5 via the incremental engine: the SfM deltas (new points
         # + new cameras, see ``report``) plus SOR churn dirty only a small
         # region of the maps; everything else is reused from the previous
@@ -224,11 +221,8 @@ class SnapTaskPipeline:
         visibility = map_update.maps.visibility  # line 4
         maps = map_update.maps
         coverage = map_update.covered_cells  # line 5
-        if obs_on:
-            self._phase(
-                "map_merge", t0, dirty_cells=map_update.dirty_obstacle_cells
-            )
-            t0 = wall_now_s()
+        self._phase("map_merge", t0, dirty_cells=map_update.dirty_obstacle_cells)
+        t0 = wall_now_s()
 
         photos_added = report.any_registered
         quality: Optional[QualityReport] = None
@@ -317,13 +311,12 @@ class SnapTaskPipeline:
                                 for area in found
                             ]
 
-        if obs_on:
-            # task_gen covers the whole line 6-20 decision (the nested
-            # flood-fill time is also reported separately as "unvisited").
-            self._phase("task_gen", t0, tasks=len(tasks))
-            self._phase("total", t_total)
-            self._m_batches.inc()
-            self._m_tasks_generated.inc(len(tasks))
+        # task_gen covers the whole line 6-20 decision (the nested
+        # flood-fill time is also reported separately as "unvisited").
+        self._phase("task_gen", t0, tasks=len(tasks))
+        self._phase("total", t_total)
+        self._m_batches.inc()
+        self._m_tasks_generated.inc(len(tasks))
         self._coverage_cells = coverage
         self._maps = maps
         outcome = BatchOutcome(
@@ -347,21 +340,20 @@ class SnapTaskPipeline:
         """Close one wall-time phase: histogram record + instant span."""
         dt = wall_now_s() - t0
         self._h_phase[name].record(dt)
-        if self._tracer.enabled:
-            self._tracer.instant(
-                f"pipeline.{name}",
-                category="pipeline",
-                iteration=self._iteration,
-                wall_phase_ms=dt * 1e3,
-                **attrs,
-            )
+        self._tracer.instant(
+            f"pipeline.{name}",
+            category="pipeline",
+            iteration=self._iteration,
+            wall_phase_ms=dt * 1e3,
+            **attrs,
+        )
 
     def _find_next_areas(self, obstacles, visibility):
         """findUnvisited with the site and write-off masks applied.
 
         Returns (areas, venue_covered).
         """
-        t0 = wall_now_s() if self._obs_on else 0.0
+        t0 = wall_now_s()
         mask = ~self._written_off
         if self._site_mask is not None:
             mask = mask & self._site_mask
@@ -376,8 +368,7 @@ class SnapTaskPipeline:
             expansion_cap_cells=self._config.min_area_cells
             * self._config.tasks.area_expansion_factor,
         )
-        if self._obs_on:
-            self._phase("unvisited", t0, areas=len(found))
+        self._phase("unvisited", t0, areas=len(found))
         return found, not found
 
     def _write_off(self, obstacles, visibility, location: Vec2) -> None:

@@ -76,7 +76,7 @@ class Workbench:
             ),
         )
 
-    def make_pipeline(self, use_site_mask: bool = True, telemetry=None) -> SnapTaskPipeline:
+    def make_pipeline(self, telemetry=None) -> SnapTaskPipeline:
         """A fresh SnapTask backend pipeline for this venue."""
         self._pipeline_counter += 1
         return SnapTaskPipeline(
@@ -85,7 +85,7 @@ class Workbench:
             self.spec,
             self.venue.entrance,
             self.rng.stream(f"pipeline-{self._pipeline_counter}"),
-            site_mask=self.ground_truth.region_mask if use_site_mask else None,
+            site_mask=self.ground_truth.region_mask,
             telemetry=telemetry,
         )
 

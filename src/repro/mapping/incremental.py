@@ -48,7 +48,7 @@ import numpy as np
 
 from ..errors import MappingError
 from ..geometry import Vec2
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import MetricsRegistry, Telemetry
 from ..sfm.model import RecoveredCamera, SfmModel
 from ..sfm.pointcloud import PointCloud
 from .coverage import CoverageMaps
@@ -87,7 +87,7 @@ class _CameraEntry:
     def __init__(self, key, observed_ref, ranges, cells):
         self.key = key  # (x, y, yaw, hfov) — invalidates on pose change
         self.observed_ref = observed_ref  # identity of observed-ids array
-        self.ranges = ranges  # per-sector info-clip ranges (or None)
+        self.ranges = ranges  # per-sector info-clip ranges
         self.cells = cells  # sorted flat cell indices of the wedge
 
 
@@ -108,15 +108,13 @@ class IncrementalMapEngine:
         z_min: float = DEFAULT_Z_MIN,
         z_max: float = DEFAULT_Z_MAX,
         site_mask: Optional[np.ndarray] = None,
-        information_clipping: bool = True,
         telemetry: Optional[Telemetry] = None,
     ):
         if obstacle_threshold <= 0:
             raise MappingError("obstacle threshold must be positive")
         if not 0.0 < max_range_m < math.inf:  # NaN fails too
             raise MappingError("max range must be finite and positive")
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
-        metrics = obs.metrics
+        metrics = telemetry.metrics if telemetry is not None else MetricsRegistry()
         # Delta-size distributions + FOV-wedge cache effectiveness
         # (the two numbers DESIGN.md §5 argues about).
         self._m_updates = metrics.counter("repro.map.updates")
@@ -131,7 +129,6 @@ class IncrementalMapEngine:
         self._max_range = float(max_range_m)
         self._z_min = float(z_min)
         self._z_max = float(z_max)
-        self._clip = bool(information_clipping)
         if site_mask is not None:
             site_mask = np.asarray(site_mask, dtype=bool)
             if site_mask.shape != spec.shape:
@@ -296,9 +293,8 @@ class IncrementalMapEngine:
         # (b) information rule: cameras whose observed-point sets intersect
         # changed cloud features may have different clip ranges.
         range_stale: Set[int] = set()
-        if self._clip:
-            for fid in np.concatenate([added[0], removed[0]]).tolist():
-                range_stale.update(self._feature_cams.get(fid, ()))
+        for fid in np.concatenate([added[0], removed[0]]).tolist():
+            range_stale.update(self._feature_cams.get(fid, ()))
 
         refreshed = 0
         reused = 0
@@ -334,8 +330,6 @@ class IncrementalMapEngine:
         return (pose.position.x, pose.position.y, pose.yaw_rad, camera.hfov_rad)
 
     def _ranges_for(self, camera):
-        if not self._clip:
-            return None
         return sector_information_ranges(
             camera, self._ids, self._xyz[:, :2], self._max_range
         )
@@ -360,7 +354,7 @@ class IncrementalMapEngine:
         self._cameras[camera.photo_id] = _CameraEntry(
             key, camera.observed_feature_ids, ranges, cells
         )
-        if self._clip and camera.observed_feature_ids is not None:
+        if camera.observed_feature_ids is not None:
             pid = camera.photo_id
             for fid in np.asarray(camera.observed_feature_ids).tolist():
                 self._feature_cams.setdefault(fid, set()).add(pid)
@@ -369,7 +363,7 @@ class IncrementalMapEngine:
         entry = self._cameras.pop(photo_id)
         self._vis.reshape(-1)[entry.cells] -= 1.0
         self._cov_dirty.append(entry.cells)
-        if self._clip and entry.observed_ref is not None:
+        if entry.observed_ref is not None:
             for fid in np.asarray(entry.observed_ref).tolist():
                 observers = self._feature_cams.get(fid)
                 if observers is not None:

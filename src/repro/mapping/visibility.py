@@ -187,7 +187,6 @@ def calculate_visibility_map(
     obstacles: Grid2D,
     max_range_m: float = 5.0,
     cameras: Optional[Iterable[RecoveredCamera]] = None,
-    information_clipping: bool = True,
 ) -> Grid2D:
     """Build the visibility map for all cameras in ``model``.
 
@@ -198,20 +197,15 @@ def calculate_visibility_map(
     obstacle_mask = obstacles.nonzero_mask()
     all_fields = Grid2D(spec)
 
-    cloud_ids_sorted = np.zeros(0, dtype=int)
-    cloud_xy_sorted = np.zeros((0, 2))
-    if information_clipping:
-        cloud = model.cloud
-        order = np.argsort(cloud.feature_ids)
-        cloud_ids_sorted = cloud.feature_ids[order]
-        cloud_xy_sorted = cloud.floor_xy()[order]
+    cloud = model.cloud
+    order = np.argsort(cloud.feature_ids)
+    cloud_ids_sorted = cloud.feature_ids[order]
+    cloud_xy_sorted = cloud.floor_xy()[order]
 
     for camera in cameras if cameras is not None else model.cameras:
-        ray_ranges = None
-        if information_clipping:
-            ray_ranges = sector_information_ranges(
-                camera, cloud_ids_sorted, cloud_xy_sorted, max_range_m
-            )
+        ray_ranges = sector_information_ranges(
+            camera, cloud_ids_sorted, cloud_xy_sorted, max_range_m
+        )
         cells = visible_cell_indices(
             spec,
             obstacle_mask,

@@ -2,10 +2,14 @@
 
 One :class:`Telemetry` bundle (a tracer + a metrics registry) threads
 through the whole stack — event loop, network, protocol, pipeline, SfM,
-map engine. Disabled telemetry is the default everywhere and costs a
-single attribute lookup / no-op method call per instrumented site;
-enabling it never changes behaviour (no extra events, no RNG draws),
-which the tracing-on/off differential test pins byte-for-byte.
+map engine. Metrics are always recorded: every bundle carries a live
+registry, so every run keeps Algorithm 1's phase histograms and the
+layer counters. Tracing is the tracer's span capacity: the default
+bundle's tracer has ``capacity=0`` and keeps nothing, and
+:meth:`Telemetry.enable` gives it a ring. Every instrumented line runs
+the same way either way. Telemetry never changes behaviour (no extra
+events, no RNG draws), which the traced/untraced differential test pins
+byte-for-byte.
 
 Quickstart::
 
@@ -23,62 +27,40 @@ or simply ``python -m repro trace --out obs-out``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from .tracing import NULL_TRACER, NullSpan, NullTracer, Span, Tracer
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .tracing import Span, Tracer
 
 
 @dataclass(frozen=True)
 class Telemetry:
-    """The tracer + registry pair every instrumented layer receives."""
+    """The tracer + registry pair every instrumented layer receives.
 
-    tracer: object = NULL_TRACER
-    metrics: object = NULL_REGISTRY
+    ``Telemetry()`` is untraced: a fresh registry and a capacity-0
+    tracer. No two default bundles share either.
+    """
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self.tracer.enabled or self.metrics.enabled)
-
-    @staticmethod
-    def disabled() -> "Telemetry":
-        """The shared no-op bundle (the default everywhere)."""
-        return NULL_TELEMETRY
+    tracer: Tracer = field(default_factory=lambda: Tracer(capacity=0))
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @staticmethod
     def enable(span_capacity: int = 262144) -> "Telemetry":
-        """A live bundle: real tracer (bounded ring) + real registry.
+        """A traced bundle: a tracer with a ring of ``span_capacity``.
 
         The tracer's clock starts at 0 and is rebound to simulated time
         by the first :class:`~repro.simkit.events.Simulator` built with
         this bundle.
         """
-        return Telemetry(
-            tracer=Tracer(capacity=span_capacity), metrics=MetricsRegistry()
-        )
+        return Telemetry(tracer=Tracer(capacity=span_capacity))
 
-
-NULL_TELEMETRY = Telemetry()
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NullSpan",
-    "NullTracer",
-    "NULL_REGISTRY",
-    "NULL_TELEMETRY",
-    "NULL_TRACER",
     "Span",
-    "Telemetry",
     "Tracer",
+    "Telemetry",
 ]

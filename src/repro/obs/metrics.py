@@ -6,11 +6,10 @@ The registry is designed around two constraints:
   a histogram record is one log + one dict add. Instrumented modules
   resolve their metric handles *once* (at construction), so the hot path
   never touches the registry or hashes a metric name.
-* **Free when off.** :data:`NULL_REGISTRY` hands out shared no-op
-  instruments; the disabled cost of an instrumented call site is a
-  single bound-method call on a singleton (and ``registry.enabled`` is a
-  plain class attribute for sites that want to skip argument
-  construction entirely).
+* **One implementation.** There is no disabled registry: every run
+  records into a live one (a default :class:`~repro.obs.Telemetry`
+  builds a fresh registry), so the Algorithm-1 phase histograms and the
+  layer counters exist for untraced runs too.
 
 Naming convention (see DESIGN.md "Observability"): every metric is
 ``repro.<layer>.<name>`` — e.g. ``repro.sim.events.cancelled``,
@@ -289,8 +288,6 @@ class MetricsRegistry:
     ``repro.net.dropped`` counter).
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
@@ -387,113 +384,3 @@ MetricsRegistry._MERGE_CLASSES = {
     ),
 }
 
-
-# -- disabled fast path --------------------------------------------------------
-
-
-class NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def __deepcopy__(self, memo: dict) -> "NullCounter":
-        return self
-
-    def inc(self, n: Number = 1) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"type": "counter", "value": 0}
-
-
-class NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0
-    max_value = 0
-
-    def __deepcopy__(self, memo: dict) -> "NullGauge":
-        return self
-
-    def set(self, v: Number) -> None:
-        pass
-
-    def inc(self, n: Number = 1) -> None:
-        pass
-
-    def dec(self, n: Number = 1) -> None:
-        pass
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": 0, "max": 0}
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = "null"
-    count = 0
-    total = 0.0
-    zeros = 0
-    min = None
-    max = None
-    mean = 0.0
-
-    def __deepcopy__(self, memo: dict) -> "NullHistogram":
-        return self
-
-    def record(self, v: Number) -> None:
-        pass
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        return []
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "type": "histogram", "count": 0, "sum": 0.0, "mean": 0.0,
-            "min": None, "max": None, "zeros": 0, "p50": 0.0, "p95": 0.0,
-            "buckets": [],
-        }
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
-
-
-class NullRegistry:
-    """Disabled registry: every lookup returns a shared no-op instrument."""
-
-    enabled = False
-
-    def __deepcopy__(self, memo: dict) -> "NullRegistry":
-        return self
-
-    def counter(self, name: str) -> NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, *_args, **_kwargs) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def names(self) -> List[str]:
-        return []
-
-    def get(self, name: str):
-        return None
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
-
-    def dump(self) -> Dict[str, dict]:
-        return {}
-
-    def merge(self, other) -> None:
-        pass
-
-
-NULL_REGISTRY = NullRegistry()

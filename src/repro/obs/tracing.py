@@ -29,9 +29,10 @@ long-running campaign keeps the most recent spans and counts what it
 dropped instead of growing without bound (the failure mode of the old
 ``Simulator`` label trace).
 
-:class:`NullTracer` is the disabled fast path: ``enabled`` is a class
-attribute (one lookup to skip instrumentation) and every method is a
-no-op returning shared singletons.
+The capacity is also the only tracing switch. An untraced run uses a
+``capacity=0`` tracer: every call site runs the same code, spans still
+nest and propagate, but the ring keeps nothing (every finished span is
+counted in ``dropped_spans``) and no counter sample is kept.
 """
 
 from __future__ import annotations
@@ -132,9 +133,10 @@ CounterSample = Tuple[float, str, float]
 
 
 class Tracer:
-    """Span factory + bounded ring of finished spans + counter samples."""
+    """Span factory + bounded ring of finished spans + counter samples.
 
-    enabled = True
+    ``capacity=0`` keeps no spans and no counter samples (untraced runs).
+    """
 
     def __deepcopy__(self, memo: dict) -> "Tracer":
         return self  # live telemetry handle, shared by snapshots
@@ -144,8 +146,8 @@ class Tracer:
         clock: Optional[Callable[[], float]] = None,
         capacity: int = 65536,
     ):
-        if capacity < 1:
-            raise ObservabilityError("tracer capacity must be >= 1")
+        if capacity < 0:
+            raise ObservabilityError("tracer capacity must be >= 0")
         self._clock: Callable[[], float] = clock if clock is not None else lambda: 0.0
         self.capacity = int(capacity)
         self._spans: Deque[Span] = deque(maxlen=self.capacity)
@@ -268,112 +270,19 @@ class Tracer:
         self.finished_count = 0
 
 
-# -- disabled fast path --------------------------------------------------------
-
-
 class _Activation:
-    __slots__ = ("_tracer", "_ctx", "_pushed")
+    __slots__ = ("_tracer", "_ctx")
 
-    def __init__(self, tracer: Optional[Tracer], ctx: Optional[int]):
+    def __init__(self, tracer: Tracer, ctx: Optional[int]):
         self._tracer = tracer
         self._ctx = ctx
-        self._pushed = False
 
     def __enter__(self) -> "_Activation":
-        if self._tracer is not None and self._ctx is not None:
+        if self._ctx is not None:
             self._tracer._push(self._ctx)
-            self._pushed = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pushed:
+        if self._ctx is not None:
             self._tracer._pop(self._ctx)
 
-
-class NullSpan:
-    """Shared no-op span: context manager, ``end``, ``set_attr`` all free."""
-
-    __slots__ = ()
-    name = "null"
-    category = "null"
-    span_id = 0
-    parent_id = None
-    start_sim_s = 0.0
-    end_sim_s = 0.0
-    attrs: Dict[str, Any] = {}
-    finished = True
-    sim_duration_s = 0.0
-    wall_ms = 0.0
-
-    def __deepcopy__(self, memo: dict) -> "NullSpan":
-        return self
-
-    def set_attr(self, key: str, value: Any) -> "NullSpan":
-        return self
-
-    def end(self, **attrs: Any) -> None:
-        pass
-
-    def __enter__(self) -> "NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = NullSpan()
-_NULL_ACTIVATION = _Activation(None, None)
-
-
-class NullTracer:
-    """Disabled tracer: ``enabled`` is False, every method is a no-op."""
-
-    enabled = False
-    capacity = 0
-    dropped_spans = 0
-    finished_count = 0
-
-    def __deepcopy__(self, memo: dict) -> "NullTracer":
-        return self
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def span(self, name: str, category: str = "app", **attrs: Any) -> NullSpan:
-        return _NULL_SPAN
-
-    def begin(self, name: str, category: str = "app", parent=None, **attrs) -> NullSpan:
-        return _NULL_SPAN
-
-    def record(self, name, start_sim_s, end_sim_s, category="app", parent=None, **attrs):
-        return _NULL_SPAN
-
-    def instant(self, name: str, category: str = "app", **attrs: Any) -> NullSpan:
-        return _NULL_SPAN
-
-    def counter(self, name: str, value: float) -> None:
-        pass
-
-    def current_id(self) -> None:
-        return None
-
-    def capture(self) -> None:
-        return None
-
-    def activate(self, ctx) -> _Activation:
-        return _NULL_ACTIVATION
-
-    def spans(self, category=None, name=None) -> List[Span]:
-        return []
-
-    def counter_samples(self, name=None) -> List[CounterSample]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, SimulationError
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "StorageFaultConfig",
@@ -126,8 +126,10 @@ class StorageFaultReport:
 class StorageFaultInjector:
     """Applies seeded storage damage to (WAL, snapshot store) at crashes."""
 
-    def __init__(self, config: StorageFaultConfig, rng=None, metrics=NULL_REGISTRY):
+    def __init__(self, config: StorageFaultConfig, rng=None, metrics=None):
         config.validate()
+        if metrics is None:
+            metrics = MetricsRegistry()
         if config.enabled and rng is None:
             raise SimulationError(
                 "storage fault injection enabled but no RNG stream supplied"

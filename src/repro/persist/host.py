@@ -41,7 +41,6 @@ class BackendHost:
 
     def __init__(self, server, simulator, persist_config, storage_rng=None):
         self._sim = simulator
-        self._config = persist_config
         obs = simulator.telemetry
         self._tracer = obs.tracer
         metrics = obs.metrics
@@ -148,17 +147,16 @@ class BackendHost:
                 crash_t=self._sim.now, wal_records_before=self._wal.position
             )
         self.storage_fault_reports.append(report)
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "persist.backend_crash",
-                category="persist",
-                downtime_s=downtime_s,
-                wal_records=self._wal.position,
-                snapshots=self._snapshotter.count,
-                wal_torn=report.wal_torn,
-                wal_dropped_records=report.wal_dropped_records,
-                snapshots_damaged=len(report.damaged_snapshot_seqs),
-            )
+        self._tracer.instant(
+            "persist.backend_crash",
+            category="persist",
+            downtime_s=downtime_s,
+            wal_records=self._wal.position,
+            snapshots=self._snapshotter.count,
+            wal_torn=report.wal_torn,
+            wal_dropped_records=report.wal_dropped_records,
+            snapshots_damaged=len(report.damaged_snapshot_seqs),
+        )
         self._sim.schedule(downtime_s, self.restart, label="backend-restart")
 
     def restart(self) -> RecoveryResult:
@@ -172,7 +170,7 @@ class BackendHost:
             manager = RecoveryManager(
                 self._wal, self._snapshotter, metrics=self._metrics
             )
-            result = manager.recover(self._sim, audit=self._config.audit_recovery)
+            result = manager.recover(self._sim, audit=True)
             self._bind(result.server)
             self._down = False
             self._m_recoveries.inc()

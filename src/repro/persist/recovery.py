@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import PersistenceError, UnrecoverableStateError
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import MetricsRegistry
 from ..obs.wallclock import wall_now_s
 from .digest import state_digest
 from .fastcopy import fast_deepcopy
@@ -83,7 +83,7 @@ class RecoveryResult:
 class RecoveryManager:
     """Restores a backend from a (snapshot store, WAL) media pair."""
 
-    def __init__(self, wal, snapshots, metrics=NULL_REGISTRY):
+    def __init__(self, wal, snapshots, metrics=None):
         if snapshots is None:
             raise PersistenceError("cannot recover without a snapshot (genesis missing)")
         if isinstance(snapshots, Snapshot):
@@ -96,6 +96,8 @@ class RecoveryManager:
         if not self._generations:
             raise PersistenceError("cannot recover without a snapshot (genesis missing)")
         self._wal = wal
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._h_replay = metrics.histogram(
             "repro.persist.recovery.replay_records", base=1.0, growth=2.0
         )

@@ -34,7 +34,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import MetricsRegistry
 from ..obs.wallclock import wall_now_s
 from .codec import decode_seal, encode_seal
 from .digest import canonical_state_bytes
@@ -101,8 +101,10 @@ class Snapshotter:
     """Takes and retains backend checkpoints on a commit cadence."""
 
     def __init__(
-        self, wal, every_batches: int = 8, metrics=NULL_REGISTRY, retain: int = 3
+        self, wal, every_batches: int = 8, metrics=None, retain: int = 3
     ):
+        if metrics is None:
+            metrics = MetricsRegistry()
         if every_batches < 1:
             raise ValueError("snapshot cadence must be >= 1 committed batch")
         if retain < 1:

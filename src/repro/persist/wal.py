@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import MetricsRegistry
 from .codec import decode_wal, encode_record, estimate_torn_records, iter_frames
 
 __all__ = ["WalLoadReport", "WriteAheadLog"]
@@ -56,7 +56,9 @@ class WalLoadReport:
 class WriteAheadLog:
     """Append-only record journal over the versioned codec."""
 
-    def __init__(self, metrics=NULL_REGISTRY):
+    def __init__(self, metrics=None):
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._buf = bytearray()
         self._count = 0
         self._m_appends = metrics.counter("repro.persist.wal.appends")
@@ -94,12 +96,8 @@ class WriteAheadLog:
         deliberate: recovery consumes exactly what a process restart
         would read back, codec and all.
         """
-        decoded, _, torn = decode_wal(bytes(self._buf))
-        if torn:
-            # Appends are atomic in-process; a torn own-buffer means a
-            # caller handed us corrupt bytes via from_bytes and then
-            # appended — records() still honours the clean prefix.
-            pass
+        # A torn buffer still yields its clean prefix.
+        decoded, _, _ = decode_wal(bytes(self._buf))
         return decoded[start:]
 
     def frame_boundaries(self) -> List[int]:
@@ -150,7 +148,7 @@ class WriteAheadLog:
 
     @classmethod
     def from_bytes(
-        cls, buf: bytes, metrics=NULL_REGISTRY
+        cls, buf: bytes, metrics=None
     ) -> Tuple["WriteAheadLog", WalLoadReport]:
         """Rebuild a WAL from raw bytes, dropping any torn tail.
 
@@ -185,7 +183,7 @@ class WriteAheadLog:
 
     @classmethod
     def load(
-        cls, path, metrics=NULL_REGISTRY
+        cls, path, metrics=None
     ) -> Tuple["WriteAheadLog", WalLoadReport]:
         """Read a journal file back (torn-tail tolerant)."""
         with open(path, "rb") as fh:

@@ -1,10 +1,9 @@
 """Client/server deployment layer over the discrete-event simulator."""
 
 from .backend import PROCESSING_S_PER_PHOTO, BackendServer
-from .client import CAPTURE_INTERVAL_S, POLL_INTERVAL_S, ClientStats, MobileClient
+from .client import CAPTURE_INTERVAL_S, ClientStats, MobileClient
 from .deployment import Deployment, DeploymentReport
 from .messages import (
-    MessageType,
     PhotoBatch,
     ProcessingResult,
     TaskAssignment,
@@ -21,9 +20,7 @@ __all__ = [
     "DeploymentReport",
     "Lease",
     "MapSnapshot",
-    "MessageType",
     "MobileClient",
-    "POLL_INTERVAL_S",
     "PROCESSING_S_PER_PHOTO",
     "PhotoBatch",
     "ProcessingResult",

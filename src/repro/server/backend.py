@@ -529,16 +529,15 @@ class BackendServer:
         self._schedule_lease_reap(task.task_id, expires_at)
         self._m_leases_granted.inc()
         self._g_queue.set(len(self._task_queue))
-        if self._tracer.enabled:
-            # Open span surviving every event hop until the upload ACK
-            # (or the reaper) closes it — the task's whole server life.
-            self._lease_spans[task.task_id] = self._tracer.begin(
-                "server.task_lease",
-                category="server",
-                task_id=task.task_id,
-                client=request.client_id,
-                expires_at=expires_at,
-            )
+        # Open span surviving every event hop until the upload ACK (or
+        # the reaper) closes it — the task's whole server life.
+        self._lease_spans[task.task_id] = self._tracer.begin(
+            "server.task_lease",
+            category="server",
+            task_id=task.task_id,
+            client=request.client_id,
+            expires_at=expires_at,
+        )
         return TaskAssignment(
             client_id=request.client_id,
             task=assigned,
@@ -716,7 +715,7 @@ class BackendServer:
         self._service_order.append(seq)
         self._queue_wait_total += wait
         self._h_queue_wait.record(wait)
-        if wait > 0 and self._tracer.enabled:
+        if wait > 0:
             self._tracer.record(
                 "server.sfm_queue_wait",
                 arrived_at,
@@ -781,14 +780,13 @@ class BackendServer:
         self._store.bump("batches_shed")
         self._m_shed.inc()
         retry_after = self._retry_after()
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "server.batch_shed",
-                category="server",
-                client=batch.client_id,
-                batch_id=batch.batch_id,
-                retry_after_s=retry_after,
-            )
+        self._tracer.instant(
+            "server.batch_shed",
+            category="server",
+            client=batch.client_id,
+            batch_id=batch.batch_id,
+            retry_after_s=retry_after,
+        )
         if on_done is not None:
             on_done(
                 ProcessingResult(
@@ -959,16 +957,14 @@ class BackendServer:
                 self._inflight_batches[batch.task_id] = live
             else:
                 self._inflight_batches.pop(batch.task_id, None)
-        span = None
-        if self._tracer.enabled:
-            span = self._tracer.begin(
-                "server.process_batch",
-                category="server",
-                client=batch.client_id,
-                photos=len(batch.photos),
-                batch_id=batch.batch_id,
-            )
-            span.start_sim_s = t0  # covers queueing + simulated SfM time
+        span = self._tracer.begin(
+            "server.process_batch",
+            category="server",
+            client=batch.client_id,
+            photos=len(batch.photos),
+            batch_id=batch.batch_id,
+        )
+        span.start_sim_s = t0  # covers queueing + simulated SfM time
         task = self._store.maybe_task(batch.task_id) if batch.task_id is not None else None
         photos = list(batch.photos)
         if (
@@ -1029,11 +1025,10 @@ class BackendServer:
             # nothing.
             self._persist.log_batch(batch, arrived_at=t0, done_t=self._now(), lane=lane)
         self._h_process.record(self._now() - t0)
-        if span is not None:
-            span.end(
-                photos_added=outcome.photos_added,
-                coverage_cells=outcome.coverage_cells,
-                new_tasks=len(outcome.new_tasks),
-            )
+        span.end(
+            photos_added=outcome.photos_added,
+            coverage_cells=outcome.coverage_cells,
+            new_tasks=len(outcome.new_tasks),
+        )
         if on_done is not None:
             on_done(result)

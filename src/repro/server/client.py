@@ -51,12 +51,6 @@ CLIENT_CAPTURE_BLUR = 0.03
 #: Seconds per captured photo during a sweep.
 CAPTURE_INTERVAL_S = 1.0
 
-#: Default poll interval when the backend has no work yet (the live value
-#: comes from ``ProtocolConfig.poll_interval_s``; this constant remains
-#: as the published default).
-POLL_INTERVAL_S = 5.0
-
-
 @dataclass
 class ClientStats:
     tasks_completed: int = 0
@@ -124,7 +118,7 @@ class MobileClient:
         self._upload_rto: Optional[EventToken] = None
         self._acked_batches: set = set()
         self.stats = ClientStats()
-        # Telemetry (shared bundle from the simulator; no-op by default).
+        # Telemetry (shared bundle from the simulator).
         obs = simulator.telemetry
         self._tracer = obs.tracer
         metrics = obs.metrics
@@ -188,14 +182,13 @@ class MobileClient:
             return
         self._pending_request_id = f"{self._client_id}:req-{next(self._request_seq)}"
         self._request_attempt = 0
-        if self._tracer.enabled:
-            self._end_span("_request_span", outcome="superseded")
-            self._request_span = self._tracer.begin(
-                "client.request",
-                category="client",
-                client=self._client_id,
-                request_id=self._pending_request_id,
-            )
+        self._end_span("_request_span", outcome="superseded")
+        self._request_span = self._tracer.begin(
+            "client.request",
+            category="client",
+            client=self._client_id,
+            request_id=self._pending_request_id,
+        )
         self._send_task_request()
 
     def _send_task_request(self) -> None:
@@ -334,19 +327,18 @@ class MobileClient:
         )
         self.stats.photos_uploaded += len(photos)
         self._m_photos.inc(len(photos))
-        if self._tracer.enabled:
-            # The walk + sweep occupies a known sim interval; record it as
-            # a pre-timed span (no event-queue interaction).
-            self._tracer.record(
-                "client.capture_walk",
-                self._sim.now,
-                self._sim.now + capture_time,
-                category="client",
-                client=self._client_id,
-                task_id=task.task_id,
-                photos=len(photos),
-                walk_s=nav.walk_time_s,
-            )
+        # The walk + sweep occupies a known sim interval; record it as a
+        # pre-timed span (no event-queue interaction).
+        self._tracer.record(
+            "client.capture_walk",
+            self._sim.now,
+            self._sim.now + capture_time,
+            category="client",
+            client=self._client_id,
+            task_id=task.task_id,
+            photos=len(photos),
+            walk_s=nav.walk_time_s,
+        )
         self._sim.schedule(
             capture_time,
             lambda: self._begin_upload(batch),
@@ -384,15 +376,14 @@ class MobileClient:
             return
         self._pending_batch = batch
         self._upload_attempt = 0
-        if self._tracer.enabled:
-            self._end_span("_upload_span", outcome="superseded")
-            self._upload_span = self._tracer.begin(
-                "client.upload",
-                category="client",
-                client=self._client_id,
-                batch_id=batch.batch_id,
-                photos=len(batch.photos),
-            )
+        self._end_span("_upload_span", outcome="superseded")
+        self._upload_span = self._tracer.begin(
+            "client.upload",
+            category="client",
+            client=self._client_id,
+            batch_id=batch.batch_id,
+            photos=len(batch.photos),
+        )
         self._transmit_batch()
 
     def _transmit_batch(self) -> None:
@@ -554,7 +545,7 @@ class MobileClient:
         self._upload_rto = None
 
     def _end_span(self, attr: str, **outcome_attrs) -> None:
-        """Seal an open exchange span (no-op when tracing is off)."""
+        """Seal an open exchange span (no-op when none is open)."""
         span = getattr(self, attr)
         if span is not None:
             span.end(**outcome_attrs)

@@ -103,10 +103,12 @@ class Deployment:
         client link; ``dropouts`` maps client ids to the simulated time
         at which they abandon the campaign; ``dropout_hazard`` gives all
         participants a per-task abandonment probability. ``telemetry``
-        (default: disabled) instruments the whole stack — event loop,
-        links, protocol, pipeline — without changing any behaviour.
+        instruments the whole stack — event loop, links, protocol,
+        pipeline — without changing any behaviour; the default is a
+        fresh untraced bundle, whose registry still records every
+        metric.
         """
-        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.simulator = Simulator(telemetry=self.telemetry)
         pipeline = bench.make_pipeline(telemetry=self.telemetry)
         server = BackendServer(

@@ -7,23 +7,12 @@ and navigation data down. These dataclasses are the protocol.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..camera.photo import Photo
 from ..core.tasks import Task
 from ..geometry import Vec2
-
-
-class MessageType(enum.Enum):
-    TASK_REQUEST = "task_request"
-    TASK_ASSIGNMENT = "task_assignment"
-    PHOTO_BATCH = "photo_batch"
-    PROCESSING_RESULT = "processing_result"
-    VENUE_COVERED = "venue_covered"
-    LOCALIZATION_QUERY = "localization_query"
-    LOCALIZATION_RESPONSE = "localization_response"
 
 
 @dataclass(frozen=True)
@@ -40,10 +29,6 @@ class TaskRequest:
     client_id: str
     position: Optional[Vec2] = None
     request_id: Optional[str] = None
-
-    @property
-    def message_type(self) -> MessageType:
-        return MessageType.TASK_REQUEST
 
 
 @dataclass(frozen=True)
@@ -70,12 +55,6 @@ class TaskAssignment:
     processing_s_per_photo: Optional[float] = None
     retry_after_s: Optional[float] = None
 
-    @property
-    def message_type(self) -> MessageType:
-        return (
-            MessageType.VENUE_COVERED if self.task is None else MessageType.TASK_ASSIGNMENT
-        )
-
 
 @dataclass(frozen=True)
 class PhotoBatch:
@@ -91,16 +70,6 @@ class PhotoBatch:
     task_id: Optional[int]
     photos: Tuple[Photo, ...]
     batch_id: Optional[str] = None
-
-    @property
-    def message_type(self) -> MessageType:
-        return MessageType.PHOTO_BATCH
-
-    @property
-    def size_mb(self) -> float:
-        """Payload size used by the network simulation (per-photo size is
-        applied by the channel sender)."""
-        return float(len(self.photos))
 
 
 @dataclass(frozen=True)
@@ -131,7 +100,3 @@ class ProcessingResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def message_type(self) -> MessageType:
-        return MessageType.PROCESSING_RESULT

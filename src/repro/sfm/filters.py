@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..errors import ReconstructionError
-from ..obs import NULL_TELEMETRY
+from ..obs import MetricsRegistry
 from .pointcloud import PointCloud
 
 
@@ -90,8 +90,7 @@ class IncrementalSorFilter:
         self._k = int(n_neighbors)
         self._ratio = float(std_ratio)
         self._rebuild_fraction = float(rebuild_fraction)
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
-        metrics = obs.metrics
+        metrics = telemetry.metrics if telemetry is not None else MetricsRegistry()
         self._m_requeried = metrics.counter("repro.sfm.sor.points_requeried")
         self._m_reused = metrics.counter("repro.sfm.sor.points_reused")
         self._m_rebuilds = metrics.counter("repro.sfm.sor.tree_rebuilds")

@@ -50,7 +50,7 @@ from ..camera.pose import CameraPose
 from ..config import SfmConfig
 from ..errors import ReconstructionError
 from ..geometry import Vec2, Vec3
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import MetricsRegistry, Telemetry
 from ..simkit.rng import RngStream
 from ..venue.features import ARTIFICIAL_FEATURE_BASE, REFLECTION_FEATURE_BASE, FeatureWorld
 from .columnar import FeatureColumns, PointColumnStore
@@ -96,8 +96,7 @@ class IncrementalSfm:
         self._world = world
         self._config = config
         self._rng = rng
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
-        metrics = obs.metrics
+        metrics = telemetry.metrics if telemetry is not None else MetricsRegistry()
         # Per-photo/per-point distributions (DESIGN.md "Observability").
         self._m_registered = metrics.counter("repro.sfm.photos_registered")
         self._m_points_new = metrics.counter("repro.sfm.points_triangulated")

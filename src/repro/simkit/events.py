@@ -8,10 +8,11 @@ server/client layer can be tested deterministically and the benchmarks can
 report end-to-end latencies.
 
 Observability (DESIGN.md "Observability"): a :class:`~repro.obs.Telemetry`
-bundle passed at construction instruments the kernel itself —
+bundle passed at construction (a fresh untraced one by default)
+instruments the kernel itself —
 
 * every dispatched event becomes a ``sim.event`` span keyed by simulated
-  time (ring-buffered, bounded);
+  time (ring-buffered, bounded; a capacity-0 tracer keeps none);
 * **span context propagates across event-queue hops**: :meth:`schedule`
   captures the ambient span, :meth:`step` re-activates it around the
   handler, so spans opened inside a handler parent correctly even when
@@ -22,7 +23,7 @@ bundle passed at construction instruments the kernel itself —
 
 Telemetry is inert: it schedules no events, draws no RNG, and never
 changes ``now``/``processed_events`` — campaign outputs are byte-for-byte
-identical with tracing on or off (pinned by the differential test).
+identical traced or untraced (pinned by the differential test).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..errors import SimulationError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import Telemetry
 
 EventHandler = Callable[[], None]
 
@@ -97,15 +98,14 @@ class Simulator:
         self._queue: List[_ScheduledEvent] = []
         self._sequence = itertools.count()
         self._processed = 0
-        self._obs = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._obs = telemetry if telemetry is not None else Telemetry()
         #: Post-dispatch probes (DST invariant checking). Probes run
         #: synchronously after every executed event; they must be pure
         #: observers — never schedule events, draw RNG, or mutate sim
         #: state — so an attached probe cannot perturb the run it checks.
         self._probes: List[Callable[[EventToken], None]] = []
         self._tracer = self._obs.tracer
-        if self._tracer.enabled:
-            self._tracer.bind_clock(lambda: self._now)
+        self._tracer.bind_clock(lambda: self._now)
         metrics = self._obs.metrics
         self._m_dispatched = metrics.counter("repro.sim.events.dispatched")
         self._m_cancelled = metrics.counter("repro.sim.events.cancelled")
@@ -152,9 +152,9 @@ class Simulator:
     def schedule(self, delay: float, handler: EventHandler, label: str = "") -> EventToken:
         """Schedule ``handler`` to run ``delay`` seconds from now.
 
-        When tracing is enabled the ambient span context is captured into
-        the event, so spans created by ``handler`` parent to the span
-        that was active *here*, across the queue hop.
+        The ambient span context is captured into the event, so spans
+        created by ``handler`` parent to the span that was active
+        *here*, across the queue hop.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -163,7 +163,7 @@ class Simulator:
             sequence=next(self._sequence),
             label=label,
             handler=handler,
-            ctx=self._tracer.capture() if self._tracer.enabled else None,
+            ctx=self._tracer.capture(),
         )
         heapq.heappush(self._queue, event)
         return EventToken(event)
@@ -188,14 +188,11 @@ class Simulator:
             self._m_dispatched.inc()
             self._g_depth.set(len(self._queue))
             tracer = self._tracer
-            if tracer.enabled:
-                tracer.counter("repro.sim.queue.depth", len(self._queue))
-                span = tracer.begin(event.label, category="sim.event", parent=event.ctx)
-                with tracer.activate(span.span_id):
-                    event.handler()
-                span.end()
-            else:
+            tracer.counter("repro.sim.queue.depth", len(self._queue))
+            span = tracer.begin(event.label, category="sim.event", parent=event.ctx)
+            with tracer.activate(span.span_id):
                 event.handler()
+            span.end()
             if self._probes:
                 token = EventToken(event)
                 for probe in self._probes:

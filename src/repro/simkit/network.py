@@ -111,16 +111,15 @@ class Channel:
         self, label: str, sent_at: float, delivered_at: float, size_mb: float, status: str
     ) -> None:
         """One ``net`` span per copy on the air (sim interval = airtime)."""
-        if self._tracer.enabled:
-            self._tracer.record(
-                f"net.{label}",
-                sent_at,
-                delivered_at,
-                category="net",
-                channel=self._name,
-                size_mb=size_mb,
-                status=status,
-            )
+        self._tracer.record(
+            f"net.{label}",
+            sent_at,
+            delivered_at,
+            category="net",
+            channel=self._name,
+            size_mb=size_mb,
+            status=status,
+        )
 
     @property
     def name(self) -> str:

@@ -156,15 +156,13 @@ def _library_deployment_task(spec: dict) -> dict:
 
     The spec names config axes (lane shape, fault schedule, horizon);
     the payload carries the full report as a plain dict plus the task
-    ledger summary and an optional metrics dump, so sweep benchmarks can
-    fan independent configurations across the pool and merge registries
-    with :meth:`MetricsRegistry.merge`.
+    ledger summary, so sweep benchmarks can fan independent
+    configurations across the pool.
     """
     import dataclasses as _dc
 
     from ..config import BackendConfig, FaultConfig, paper_config
     from ..eval import Workbench
-    from ..obs import Telemetry
     from ..server import Deployment
 
     config = paper_config(seed=spec.get("seed", 2018))
@@ -198,27 +196,22 @@ def _library_deployment_task(spec: dict) -> dict:
                 (float(a), float(b)) for a, b in spec.get("backend_crashes", ())
             ),
         )
-    telemetry = Telemetry.enable() if spec.get("telemetry") else None
     deployment = Deployment(
         Workbench.for_library(config),
         n_clients=spec.get("n_clients", 2),
         faults=faults,
         dropouts=spec.get("dropouts"),
-        telemetry=telemetry,
     )
     report = deployment.run(
         until_s=spec.get("until_s", 20_000.0),
         max_events=spec.get("max_events", 200_000),
     )
     store = deployment.server.store
-    payload = {
+    return {
         "report": _dc.asdict(report),
         "tasks_by_status": dict(store.tasks_by_status()),
         "recorded_tasks": store.recorded_task_count(),
     }
-    if telemetry is not None:
-        payload["metrics"] = telemetry.metrics.dump()
-    return payload
 
 
 def _recover_run_task(spec: dict) -> dict:

@@ -213,11 +213,13 @@ def run_campaign(
     outcome = CampaignOutcome(index=index, seed=seed, result=result, original=scenario)
     if result.ok:
         return outcome
+    if not shrink:
+        say(f"campaign {index + 1} FAILED ({result.label})")
+        return outcome
     say(f"campaign {index + 1} FAILED ({result.label}); shrinking...")
-    if shrink:
-        outcome.result, outcome.shrink_steps, outcome.shrink_runs = _shrink_failure(
-            result, mutation, shrink_budget, say
-        )
+    outcome.result, outcome.shrink_steps, outcome.shrink_runs = _shrink_failure(
+        result, mutation, shrink_budget, say
+    )
     return outcome
 
 

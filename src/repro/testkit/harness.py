@@ -25,11 +25,10 @@ ladder doing exactly its job — refusing to restore untrustworthy state
 — so the run counts as ``ok`` with label ``fail-closed`` (the same
 exception *without* storage faults armed is still a ``crash`` finding).
 
-Every run is instrumented with an enabled :class:`Telemetry` bundle so
-the determinism check covers the metrics registry and span trace, not
-just the final report — telemetry is pinned inert by the obs
-differential suite, so checking under instrumentation checks the
-uninstrumented run too.
+Every run is traced (:meth:`Telemetry.enable`) so the determinism
+check covers the metrics registry and span trace, not just the final
+report — telemetry is pinned inert by the obs differential suite, so
+checking a traced run checks the untraced run too.
 """
 
 from __future__ import annotations

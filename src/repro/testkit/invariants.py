@@ -394,9 +394,9 @@ class InvariantRegistry:
     def _note_recoveries(self, token) -> None:
         """Audit fresh crashes and recoveries (two invariants + rebasing).
 
-        **recovery-idempotency** — with ``audit_recovery`` on (the
-        default), each restart restores the state twice from the same
-        snapshot + WAL suffix and digests both. A digest mismatch means
+        **recovery-idempotency** — the durable host audits every
+        restart: it restores the state twice from the same snapshot +
+        WAL suffix and digests both. A digest mismatch means
         recovery is not a pure function of the durable media — replaying
         it again (or on another host) would yield a different backend.
 

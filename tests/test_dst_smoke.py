@@ -102,6 +102,19 @@ class TestMutationLoop:
             replayed = replay_artifact(doc, check_determinism=False)
             assert replayed.label == expected, mutation
 
+    def test_no_shrink_log_announces_no_shrink(self):
+        lines = []
+        summary = run_fuzz(
+            campaigns=1,
+            mutation="skip-batch-dedupe",
+            shrink=False,
+            progress=lines.append,
+        )
+        assert len(summary.failures) == 1
+        assert not summary.failures[0].shrink_steps
+        assert "campaign 1 FAILED (invariant:ledger-idempotency)" in lines
+        assert not any("shrinking" in line for line in lines), lines
+
 
 class TestScenarioSerialisation:
     def test_json_roundtrip_is_exact(self):

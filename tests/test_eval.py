@@ -144,10 +144,8 @@ class TestWorkbench:
         assert a.ground_truth.region_cells == b.ground_truth.region_cells
 
     def test_pipeline_uses_site_mask(self, bench):
-        with_mask = bench.make_pipeline(use_site_mask=True)
-        without = bench.make_pipeline(use_site_mask=False)
-        assert with_mask._site_mask is not None  # noqa: SLF001
-        assert without._site_mask is None  # noqa: SLF001
+        pipeline = bench.make_pipeline()
+        assert np.array_equal(pipeline.site_mask, bench.ground_truth.region_mask)
 
     def test_custom_venue_workbench(self, office):
         custom = Workbench(office)

@@ -179,7 +179,7 @@ class TestVisibilityMap:
         obstacles = Grid2D(spec)
         cameras = [make_camera(i, 2.0, 5.0, 0.0) for i in range(3)]
         model = SfmModel(PointCloud.empty(), cameras)
-        grid = calculate_visibility_map(model, obstacles, 4.0, information_clipping=False)
+        grid = calculate_visibility_map(model, obstacles, 4.0)
         assert grid.data.max() == 3.0
 
     def test_information_clipping_limits_wedge(self):

@@ -1,11 +1,12 @@
-"""Telemetry inertness: tracing on vs off is byte-for-byte identical.
+"""Telemetry inertness: traced vs untraced is byte-for-byte identical.
 
 The observability layer promises it never schedules events, never draws
 RNG, and never touches simulated time. This differential pins that
 promise on the full client/server deployment: two runs from the same
-seed, one with a live Telemetry bundle and one with the shared null
-bundle, must produce *identical* DeploymentReports — including the
-event count, which would differ if instrumentation enqueued anything.
+seed, one traced (``Telemetry.enable()``) and one with the default
+untraced bundle (a capacity-0 tracer), must produce *identical*
+DeploymentReports — including the event count, which would differ if
+instrumentation enqueued anything — and identical sim-driven metrics.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from repro.config import paper_config
 from repro.eval import Workbench
 from repro.obs import Telemetry
 from repro.server import Deployment
+from repro.testkit.digests import metrics_projection
 
 UNTIL_S = 2000.0
 
@@ -85,6 +87,25 @@ class TestTracingDifferential:
             for name in ("registration", "map_merge", "task_gen", "total")
         }
         assert len(set(counts.values())) == 1 and counts["total"] > 0
+
+    def test_untraced_run_records_the_same_metrics(self, runs):
+        telemetry, dep_off, report_off, _dep_on, _report_on = runs
+        metrics = dep_off.telemetry.metrics
+        assert metrics is not telemetry.metrics
+        assert dep_off.telemetry.tracer.spans() == []
+        assert metrics_projection(metrics) == metrics_projection(telemetry.metrics)
+        assert (
+            metrics.get("repro.client.photos_uploaded").value
+            == report_off.photos_uploaded
+        )
+        assert (
+            metrics.get("repro.sim.events.dispatched").value
+            == report_off.events_processed
+        )
+        batches = metrics.get("repro.pipeline.batches").value
+        assert batches > 0
+        for name in ("registration", "map_merge", "task_gen", "total"):
+            assert metrics.get(f"repro.pipeline.phase.{name}").count == batches
 
     def test_lease_and_exchange_spans_closed(self, runs):
         telemetry, *_ = runs

@@ -445,14 +445,16 @@ class TestBenchValidatorCases:
 
 
 class TestTelemetryBundle:
-    def test_disabled_is_shared_and_inert(self):
-        a = Telemetry.disabled()
-        b = Telemetry.disabled()
-        assert a is b
-        assert not a.enabled
+    def test_default_bundles_are_fresh(self):
+        a = Telemetry()
+        b = Telemetry()
+        assert a.tracer is not b.tracer
+        assert a.metrics is not b.metrics
+        assert a.tracer.capacity == 0
+        a.metrics.counter("repro.t.c").inc()
+        assert b.metrics.names() == []
 
     def test_enable_builds_live_pair(self):
         t = Telemetry.enable(span_capacity=16)
-        assert t.enabled
         assert t.tracer.capacity == 16
-        assert t.metrics.enabled
+        assert isinstance(t.metrics, MetricsRegistry)

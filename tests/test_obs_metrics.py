@@ -3,14 +3,8 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    NullCounter,
-    NullHistogram,
-)
+from repro.obs import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram
 
 
 class TestCounter:
@@ -166,28 +160,6 @@ class TestRegistry:
         assert reg.get("missing") is None
 
 
-class TestNullRegistry:
-    def test_shared_noop_singletons(self):
-        c1 = NULL_REGISTRY.counter("repro.a.x")
-        c2 = NULL_REGISTRY.counter("repro.b.y")
-        assert c1 is c2
-        assert isinstance(c1, NullCounter)
-        c1.inc(100)
-        assert c1.value == 0
-
-    def test_histogram_accepts_config_args(self):
-        h = NULL_REGISTRY.histogram("repro.a.h", base=1.0, growth=2.0)
-        assert isinstance(h, NullHistogram)
-        h.record(5.0)
-        assert h.count == 0 and h.snapshot()["count"] == 0
-
-    def test_disabled_flag_and_empty_views(self):
-        assert NULL_REGISTRY.enabled is False
-        assert MetricsRegistry.enabled is True
-        assert NULL_REGISTRY.names() == []
-        assert NULL_REGISTRY.snapshot() == {}
-
-
 class TestRegistryMerge:
     """Merging per-worker registries back into the parent (executor)."""
 
@@ -280,9 +252,3 @@ class TestRegistryMerge:
         a = MetricsRegistry()
         with pytest.raises(ObservabilityError, match="unknown type"):
             a.merge({"repro.m.x": {"type": "meter", "value": 1}})
-
-    def test_null_registry_merge_is_a_noop(self):
-        b = MetricsRegistry()
-        b.counter("repro.m.c").inc(5)
-        NULL_REGISTRY.merge(b)
-        assert NULL_REGISTRY.dump() == {}

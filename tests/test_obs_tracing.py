@@ -3,8 +3,9 @@ the bounded ring, and the simulator's dispatch spans."""
 
 import pytest
 
+from repro.errors import ObservabilityError
 from repro.obs import Telemetry
-from repro.obs.tracing import NULL_TRACER, NullSpan, Tracer
+from repro.obs.tracing import Tracer
 from repro.simkit.events import Simulator
 
 
@@ -155,28 +156,44 @@ class TestSimulatorIntegration:
         assert telemetry.metrics.get("repro.sim.events.cancelled").value == 1
         assert telemetry.metrics.get("repro.sim.events.dispatched").value == 1
 
-    def test_default_simulator_has_null_telemetry(self):
+    def test_default_simulator_traces_at_capacity_zero(self):
         sim = Simulator()
-        assert sim.tracer is NULL_TRACER
-        assert sim.telemetry.enabled is False
+        sim.schedule(1.0, lambda: None, label="a")
+        sim.run()
+        assert sim.tracer.capacity == 0
+        assert sim.tracer.spans() == []
+        assert sim.tracer.dropped_spans == 1
+        assert sim.metrics.get("repro.sim.events.dispatched").value == 1
 
 
-class TestNullFastPath:
-    def test_null_tracer_everything_is_noop(self):
-        assert NULL_TRACER.enabled is False
-        span = NULL_TRACER.begin("x")
-        assert isinstance(span, NullSpan)
-        span.end(outcome="ignored")
-        with NULL_TRACER.span("y"):
+class TestCapacityZero:
+    """The untraced tracer: the same code path, a ring that keeps nothing."""
+
+    def test_keeps_nothing_and_counts_every_drop(self):
+        tracer = Tracer(capacity=0)
+        tracer.begin("x").end(outcome="dropped")
+        with tracer.span("y"):
             pass
-        NULL_TRACER.counter("repro.q", 1.0)
-        assert NULL_TRACER.spans() == []
-        assert NULL_TRACER.counter_samples() == []
-        assert NULL_TRACER.capture() is None
+        tracer.record("z", 0.0, 1.0)
+        tracer.instant("w")
+        tracer.counter("repro.q", 1.0)
+        assert tracer.spans() == []
+        assert tracer.counter_samples() == []
+        assert tracer.capture() is None
+        assert tracer.finished_count == 4
+        assert tracer.dropped_spans == 4
 
-    def test_null_span_is_shared_and_immutable_shape(self):
-        a = NULL_TRACER.begin("a")
-        b = NULL_TRACER.span("b")
-        assert a is b
-        assert a.set_attr("k", "v") is a
-        assert a.attrs == {}
+    def test_spans_still_nest_and_propagate(self):
+        tracer = Tracer(capacity=0)
+        with tracer.span("outer") as outer:
+            ctx = tracer.capture()
+            with tracer.span("inner") as inner:
+                assert inner.parent_id == outer.span_id
+        assert ctx == outer.span_id
+        assert outer.finished and inner.set_attr("k", "v") is inner
+        with tracer.activate(ctx):
+            assert tracer.begin("later").parent_id == outer.span_id
+
+    def test_negative_capacity_raises(self):
+        with pytest.raises(ObservabilityError, match="capacity"):
+            Tracer(capacity=-1)

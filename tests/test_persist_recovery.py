@@ -85,7 +85,7 @@ class TestCrashRecovery:
             assert getattr(report, name) == getattr(twin, name), name
 
     def test_every_recovery_audit_matches(self):
-        """audit_recovery restores twice per crash; digests must agree."""
+        """The host audits every recovery (restores twice); digests agree."""
         deployment, report = _run(self.CRASHED)
         host = deployment.host
         assert len(host.recovery_audits) == report.backend_recoveries > 0
