@@ -47,20 +47,28 @@ def _run_campaign(telemetry):
     return time.perf_counter() - t0, report
 
 
-def _best_of(n, telemetry_factory):
-    times = []
-    report = None
-    last_telemetry = None
-    for _ in range(n):
-        last_telemetry = telemetry_factory()
-        dt, report = _run_campaign(last_telemetry)
-        times.append(dt)
-    return min(times), report, last_telemetry
+def _interleaved(rounds):
+    """Best-of-``rounds`` wall time for each side, untraced and traced.
+
+    The rounds alternate the sides, and which side goes first, so host
+    drift and heap growth land on both sides instead of on whichever
+    side runs last.
+    """
+    sides = {Telemetry: [], Telemetry.enable: []}
+    for i in range(rounds):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for factory in order:
+            telemetry = factory()
+            dt, report = _run_campaign(telemetry)
+            sides[factory].append((dt, report, telemetry))
+    return [
+        (min(dt for dt, _, _ in runs), runs[-1][1], runs[-1][2])
+        for runs in sides.values()
+    ]
 
 
 def test_bench_obs_overhead(results_dir):
-    off_s, report_off, untraced = _best_of(ROUNDS, Telemetry)
-    on_s, report_on, telemetry = _best_of(ROUNDS, Telemetry.enable)
+    (off_s, report_off, untraced), (on_s, report_on, telemetry) = _interleaved(ROUNDS)
 
     # Inertness first: overhead numbers are meaningless if the runs
     # diverged (also pinned, more thoroughly, by the differential test).
@@ -72,7 +80,8 @@ def test_bench_obs_overhead(results_dir):
     spans = tracer.finished_count
     rows = [
         "observability overhead on the deployment campaign "
-        f"({N_CLIENTS} clients, until_s={UNTIL_S:.0f}, best of {ROUNDS})",
+        f"({N_CLIENTS} clients, until_s={UNTIL_S:.0f}, best of {ROUNDS} "
+        "interleaved rounds per side)",
         f"untraced (capacity-0 tracer): {off_s * 1e3:9.1f} ms",
         f"traced   (span ring):         {on_s * 1e3:9.1f} ms",
         f"overhead: {overhead_pct:+.2f}%  (target < {TARGET_OVERHEAD_PCT:.0f}%, "

@@ -25,7 +25,7 @@ LAPLACIAN_KERNEL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 def convolve2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Plain 'same'-size 2-D convolution with edge-replicate padding (no scipy)."""
+    """Plain 'same'-size 2-D convolution with edge-replicate padding, in numpy."""
     image = np.asarray(image, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     kh, kw = kernel.shape

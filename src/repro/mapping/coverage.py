@@ -103,7 +103,7 @@ def score_against_ground_truth(
 
 
 def _dilate(mask: np.ndarray, cells: int) -> np.ndarray:
-    """Binary dilation by ``cells`` using numpy shifts (no scipy.ndimage)."""
+    """Binary dilation by ``cells`` using numpy shifts."""
     if cells <= 0:
         return mask
     out = mask.copy()

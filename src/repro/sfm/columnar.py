@@ -30,7 +30,7 @@ cost is O(1) per row.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -180,6 +180,10 @@ class PointColumnStore:
     def ids_slice(self, start: int) -> np.ndarray:
         """Feature ids appended since row ``start`` (read-only copy)."""
         return self._ids[start:self._n].copy()
+
+    def views_since(self, start: int) -> List[int]:
+        """View counts of the points appended since row ``start``."""
+        return self._views[start:self._n].tolist()
 
     def rows(self):
         """Iterate (fid, x, y, z, n_views) in append order.

@@ -6,35 +6,198 @@ StatisticalOutlierRemoval tutorial). The classic formulation: compute each
 point's mean distance to its k nearest neighbours; points whose mean
 distance exceeds ``global_mean + std_ratio * global_std`` are outliers.
 
-Two implementations share that contract:
+SOR needs exact k-NN mean distances over a sparse cloud, not a general
+spatial index, so both implementations below share one numpy index,
+:class:`VoxelGrid`: the points are binned into cubes whose side comes
+from the cloud (one cube per point over its bounding box), and a query
+scans the 3x3x3 ring of cubes around its own, growing the ring only when
+its (k+1)-th distance is larger than the ring can guarantee. Every
+distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the order of operations
+of a kd-tree's Euclidean kernel, so the distance rows, per-point means
+and masks are those of a kd-tree query bit for bit.
 
-* :func:`sor_filter` / :func:`sor_mask` — the from-scratch oracle: build a
-  fresh cKDTree and query every point, O(N log N) per call;
+* :func:`sor_filter` / :func:`sor_mask` — the from-scratch oracle: index
+  the cloud and query every point;
 * :class:`IncrementalSorFilter` — caches each point's k-NN mean distance
   and k-th-neighbour ("influence") distance across calls. When the cloud
   grows by a delta, only the new points and the old points that have some
   new point *inside their influence radius* are re-queried; every other
   point's neighbourhood is provably unchanged (all new points are farther
-  than its current k-th neighbour). KD-tree rebuilds are amortized: new
-  points accumulate in a side buffer that is queried as a second small
-  tree, and the main tree is rebuilt only when the buffer outgrows
-  ``rebuild_fraction`` of the cloud. The staleness bound is therefore
+  than its current k-th neighbour). The affected old points are found
+  from each new point's ring. The grid is rebuilt on every call (binning
+  is one sort), so no index outlives a call. The staleness bound is
   *zero*: masks are bit-identical to :func:`sor_mask` on every call (the
-  differential suite pins this), because distances always come from the
-  same cKDTree kernel and the global threshold is recomputed over the
-  exact per-point means in cloud order.
+  differential suite pins this), because both read the same distances
+  and the global threshold is recomputed over the exact per-point means
+  in cloud order.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..errors import ReconstructionError
 from ..obs import MetricsRegistry
 from .pointcloud import PointCloud
+
+#: A ring of r cubes guarantees every point within ``r * side`` of its
+#: query; the guarantee is shrunk by this factor to absorb rounding in
+#: ``floor((x - lo) / side)``, the cube a coordinate falls in.
+_SLACK = 1.0 - 1e-6
+#: Most (query, point) pairs one step holds, which bounds memory whatever
+#: the cloud's shape.
+_PAIR_BUDGET = 1 << 16
+
+
+def _slices(n: int, size: int) -> Iterator[slice]:
+    size = max(1, size)
+    for start in range(0, n, size):
+        yield slice(start, min(n, start + size))
+
+
+class VoxelGrid:
+    """Exact k-nearest-neighbour distances among a fixed (N, 3) point set.
+
+    Cube keys run z-fastest, so the (2r+1)^3 block of cubes around a
+    point is (2r+1)^2 contiguous ranges of the key-sorted points. A query
+    whose ring would hold as many ranges as the grid holds points is
+    compared with every point instead.
+    """
+
+    def __init__(self, xyz: np.ndarray):
+        xyz = np.asarray(xyz, dtype=np.float64)
+        self._xyz = xyz
+        self._n = int(xyz.shape[0])
+        extent = np.ptp(xyz, axis=0) if self._n else np.zeros(3)
+        self._lo = xyz.min(axis=0) if self._n else np.zeros(3)
+        self._side = _cube_side(extent, self._n)
+        self._cells = np.floor((xyz - self._lo) / self._side).astype(np.int64)
+        self._dims = self._cells.max(axis=0) + 1 if self._n else np.ones(3, dtype=np.int64)
+        keys = (self._cells[:, 0] * self._dims[1] + self._cells[:, 1]) * self._dims[2]
+        keys += self._cells[:, 2]
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        self._x, self._y, self._z = (
+            np.ascontiguousarray(xyz[self._order, i]) for i in range(3)
+        )
+
+    @property
+    def side(self) -> float:
+        return self._side
+
+    def knn(self, k1: int, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """(Q, k1) ascending distances from the points ``rows`` (all by
+        default) to their k1 nearest points, themselves included.
+
+        Rows are padded with ``inf`` when the grid holds fewer than k1
+        points, as a kd-tree query pads them.
+        """
+        rows = np.arange(self._n) if rows is None else np.asarray(rows)
+        out = np.full((rows.shape[0], k1), np.inf)
+        ring = np.ones(rows.shape[0], dtype=np.int64)
+        pending = np.arange(rows.shape[0])
+        while pending.shape[0]:
+            r = int(ring[pending].min())
+            batch = pending[ring[pending] == r]
+            pending = pending[ring[pending] != r]
+            brute = (2 * r + 1) ** 2 >= self._n
+            chunks = self._brute(rows[batch]) if brute else self._pairs(rows[batch], r)
+            best = _smallest(chunks, k1, batch.shape[0])
+            kth = best[:, -1]
+            done = brute | (kth <= r * self._side * _SLACK)
+            out[batch[done]] = best[done]
+            if not done.all():
+                # A ring reaching the current k1-th candidate settles it;
+                # with fewer than k1 candidates the ring grows to 2r+1.
+                need = np.ceil(kth[~done] / (self._side * _SLACK))
+                need = np.where(np.isfinite(need), need, 2 * r + 1)
+                ring[batch[~done]] = np.maximum(need, r + 1).astype(np.int64)
+                pending = np.concatenate([pending, batch[~done]])
+        return out
+
+    def ring_pairs(self, rows: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Chunks of (point, distance to the row) over the points in the
+        3x3x3 ring of each point in ``rows``, which holds every point
+        within ``side * _SLACK`` of it."""
+        for _at, _per_row, pos, d2 in self._pairs(np.asarray(rows), 1):
+            yield self._order[pos], np.sqrt(d2)
+
+    # -- internals --------------------------------------------------------------
+
+    def _pairs(self, rows: np.ndarray, r: int):
+        """Chunks of (slice of ``rows``, pairs per row, sorted point
+        position, squared distance) over the (2r+1)^3 block of each row."""
+        nx, ny, nz = (int(v) for v in self._dims)
+        span = np.arange(-r, r + 1)
+        for block in _slices(rows.shape[0], _PAIR_BUDGET // span.shape[0] ** 2):
+            cells = self._cells[rows[block]]
+            cx = np.repeat(cells[:, :1] + span, span.shape[0], axis=1)
+            cy = np.tile(cells[:, 1:2] + span, span.shape[0])
+            column = (cx * ny + cy) * nz
+            z0 = np.clip(cells[:, 2:3] - r, 0, nz - 1)
+            z1 = np.clip(cells[:, 2:3] + r, 0, nz - 1)
+            start = np.searchsorted(self._keys, column + z0, "left")
+            count = np.searchsorted(self._keys, column + z1, "right") - start
+            count[(cx < 0) | (cx >= nx) | (cy < 0) | (cy >= ny)] = 0
+            per_row = count.sum(axis=1)
+            for sub in _slices(per_row.shape[0], _PAIR_BUDGET // max(1, int(per_row.max()))):
+                n_pairs = count[sub].ravel()
+                first = np.cumsum(n_pairs) - n_pairs
+                pos = np.arange(int(n_pairs.sum())) + np.repeat(start[sub].ravel() - first, n_pairs)
+                at = slice(block.start + sub.start, block.start + sub.stop)
+                yield at, per_row[sub], pos, self._sqdist(rows[at], per_row[sub], pos)
+
+    def _brute(self, rows: np.ndarray):
+        """:meth:`_pairs` chunks pairing each row with every point."""
+        every = np.arange(self._n)
+        for at in _slices(rows.shape[0], _PAIR_BUDGET // self._n):
+            per_row = np.full(at.stop - at.start, self._n)
+            pos = np.tile(every, per_row.shape[0])
+            yield at, per_row, pos, self._sqdist(rows[at], per_row, pos)
+
+    def _sqdist(self, rows: np.ndarray, per_row: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        # A kd-tree's Euclidean kernel sums in this order: ((dx*dx + dy*dy) + dz*dz).
+        q = self._xyz[rows]
+        dx = self._x[pos] - np.repeat(q[:, 0], per_row)
+        dy = self._y[pos] - np.repeat(q[:, 1], per_row)
+        dz = self._z[pos] - np.repeat(q[:, 2], per_row)
+        return (dx * dx + dy * dy) + dz * dz
+
+
+def _cube_side(extent: np.ndarray, n_cells: float) -> float:
+    """Cube side giving about ``n_cells`` cubes over a box of ``extent``.
+
+    Axes thinner than one cube hold a single layer of cubes, so the
+    side is solved over the wide axes only (a flat cloud is binned as
+    squares, a thin one as a line of cubes).
+    """
+    widths = np.sort(extent)[::-1]
+    for dims in (3, 2, 1):
+        side = float(np.prod(widths[:dims]) / max(n_cells, 1.0)) ** (1.0 / dims)
+        if 0.0 < side <= widths[dims - 1]:
+            return side
+    return 1.0  # every point coincides
+
+
+def _smallest(chunks, k1: int, n_rows: int) -> np.ndarray:
+    """The k1 smallest distances of each row, ascending, from the squared
+    distances of :meth:`VoxelGrid._pairs` chunks; a row with fewer than
+    k1 candidates is padded with ``inf``."""
+    best = np.empty((n_rows, k1))
+    for at, per_row, _pos, d2 in chunks:
+        width = max(int(per_row.max()), k1)
+        padded = np.full((per_row.shape[0], width), np.inf)
+        first = np.cumsum(per_row) - per_row
+        cols = np.arange(d2.shape[0]) - np.repeat(first, per_row)
+        padded[np.repeat(np.arange(per_row.shape[0]), per_row), cols] = d2
+        if width > k1:
+            padded = np.partition(padded, k1 - 1, axis=1)[:, :k1]
+        padded.sort(axis=1)
+        best[at] = padded
+    # sqrt after selection: it is monotone, so it keeps the same k1.
+    return np.sqrt(best)
 
 
 def sor_mask(
@@ -52,9 +215,8 @@ def sor_mask(
     if n <= n_neighbors:
         return np.ones(n, dtype=bool)
 
-    tree = cKDTree(xyz)
     # k+1 because the closest neighbour of each point is itself.
-    distances, _ = tree.query(xyz, k=n_neighbors + 1)
+    distances = VoxelGrid(xyz).knn(n_neighbors + 1)
     mean_dist = distances[:, 1:].mean(axis=1)
     threshold = mean_dist.mean() + std_ratio * mean_dist.std()
     return mean_dist <= threshold
@@ -80,29 +242,18 @@ class IncrementalSorFilter:
     for grown ones.
     """
 
-    def __init__(
-        self,
-        n_neighbors: int = 8,
-        std_ratio: float = 2.0,
-        rebuild_fraction: float = 0.25,
-        telemetry=None,
-    ):
+    def __init__(self, n_neighbors: int = 8, std_ratio: float = 2.0, telemetry=None):
         self._k = int(n_neighbors)
         self._ratio = float(std_ratio)
-        self._rebuild_fraction = float(rebuild_fraction)
         metrics = telemetry.metrics if telemetry is not None else MetricsRegistry()
         self._m_requeried = metrics.counter("repro.sfm.sor.points_requeried")
         self._m_reused = metrics.counter("repro.sfm.sor.points_reused")
-        self._m_rebuilds = metrics.counter("repro.sfm.sor.tree_rebuilds")
         self._m_full = metrics.counter("repro.sfm.sor.full_recomputes")
         # Cached state, aligned to the order of the last accepted cloud.
         self._ids: Optional[np.ndarray] = None
         self._xyz: Optional[np.ndarray] = None
         self._mean_d: Optional[np.ndarray] = None
         self._kth_d: Optional[np.ndarray] = None
-        # Main tree (covers ``_tree_ids``) + ids living in the side buffer.
-        self._tree: Optional[cKDTree] = None
-        self._tree_ids: Optional[np.ndarray] = None
 
     # -- public API -------------------------------------------------------------
 
@@ -154,14 +305,10 @@ class IncrementalSorFilter:
         return pos
 
     def _full_compute(self, ids: np.ndarray, xyz: np.ndarray) -> np.ndarray:
-        n = ids.shape[0]
-        tree = cKDTree(xyz)
-        distances, _ = tree.query(xyz, k=self._k + 1)
+        distances = VoxelGrid(xyz).knn(self._k + 1)
         self._m_full.inc()
-        self._m_requeried.inc(n)
+        self._m_requeried.inc(ids.shape[0])
         self._store(ids, xyz, distances[:, 1:].mean(axis=1), distances[:, self._k])
-        self._tree = tree
-        self._tree_ids = np.array(ids, dtype=ids.dtype, copy=True)
         return self._threshold_mask()
 
     def _delta_compute(
@@ -172,9 +319,9 @@ class IncrementalSorFilter:
         kth_d = np.empty(n, dtype=np.float64)
         mean_d[matched] = self._mean_d
         kth_d[matched] = self._kth_d
-        new_mask = np.ones(n, dtype=bool)
-        new_mask[matched] = False
-        new_idx = np.nonzero(new_mask)[0]
+        old = np.zeros(n, dtype=bool)
+        old[matched] = True
+        new_idx = np.nonzero(~old)[0]
 
         if new_idx.shape[0] == 0:
             self._store(ids, xyz, mean_d, kth_d)
@@ -182,62 +329,32 @@ class IncrementalSorFilter:
             return self._threshold_mask()
 
         # Which old points feel the delta? Exactly those with some new
-        # point strictly inside their current k-th-neighbour distance —
-        # ties cannot change the k-NN distance multiset, but are included
-        # (<=) for robustness at zero extra cost.
-        new_tree = cKDTree(xyz[new_idx])
-        nearest_new, _ = new_tree.query(xyz[matched], k=1)
-        affected = matched[np.asarray(nearest_new) <= kth_d[matched]]
-        requery = np.concatenate([new_idx, affected])
+        # point inside their current k-th-neighbour distance: ties cannot
+        # change the k-NN distance multiset, but are included (<=) for
+        # robustness at zero extra cost.
+        grid = VoxelGrid(xyz)
+        affected = np.zeros(n, dtype=bool)
+        for point, dist in grid.ring_pairs(new_idx):
+            hit = old[point] & (dist <= kth_d[point])
+            affected[point[hit]] = True
+        # An old point whose radius outreaches one cube may feel a new
+        # point beyond that point's ring: compare it with every new point.
+        wide = matched[kth_d[matched] > grid.side * _SLACK]
+        fresh = xyz[new_idx]
+        gap = np.maximum(fresh.min(axis=0) - xyz[wide], xyz[wide] - fresh.max(axis=0))
+        wide = wide[gap.max(axis=1) * _SLACK <= kth_d[wide]]
+        for sl in _slices(wide.shape[0], _PAIR_BUDGET // new_idx.shape[0]):
+            d = np.sqrt(_sqdist_rows(xyz[wide[sl]], fresh))
+            affected[wide[sl][(d <= kth_d[wide[sl], None]).any(axis=1)]] = True
+        requery = np.concatenate([new_idx, np.nonzero(affected)[0]])
         self._m_requeried.inc(int(requery.shape[0]))
         self._m_reused.inc(int(n - requery.shape[0]))
 
-        distances = self._exact_knn(ids, xyz, requery)
+        distances = grid.knn(self._k + 1, requery)
         mean_d[requery] = distances[:, 1:].mean(axis=1)
         kth_d[requery] = distances[:, self._k]
         self._store(ids, xyz, mean_d, kth_d)
-        self._maybe_rebuild(ids, xyz)
         return self._threshold_mask()
-
-    def _exact_knn(
-        self, ids: np.ndarray, xyz: np.ndarray, requery: np.ndarray
-    ) -> np.ndarray:
-        """Exact (k+1)-NN distances for ``requery`` rows of the full cloud.
-
-        The union of the main tree and the side buffer is the whole
-        cloud, so merging their per-row candidate distances and keeping
-        the k+1 smallest reproduces a single-tree query exactly (the
-        distance between two given points does not depend on which tree
-        computed it).
-        """
-        k1 = self._k + 1
-        q = xyz[requery]
-        parts = []
-        in_tree = np.isin(ids, self._tree_ids, assume_unique=True)
-        buffer_idx = np.nonzero(~in_tree)[0]
-        tree_n = int(self._tree_ids.shape[0])
-        if tree_n:
-            d_main, _ = self._tree.query(q, k=min(k1, tree_n))
-            if d_main.ndim == 1:
-                d_main = d_main.reshape(-1, 1)
-            parts.append(d_main)
-        if buffer_idx.shape[0]:
-            buf_tree = cKDTree(xyz[buffer_idx])
-            kb = min(k1, int(buffer_idx.shape[0]))
-            d_buf, _ = buf_tree.query(q, k=kb)
-            if d_buf.ndim == 1:
-                d_buf = d_buf.reshape(-1, 1)
-            parts.append(d_buf)
-        merged = np.sort(np.concatenate(parts, axis=1), axis=1)[:, :k1]
-        return merged
-
-    def _maybe_rebuild(self, ids: np.ndarray, xyz: np.ndarray) -> None:
-        n = ids.shape[0]
-        n_buffered = n - int(self._tree_ids.shape[0])
-        if n_buffered > max(64, int(self._rebuild_fraction * n)):
-            self._tree = cKDTree(xyz)
-            self._tree_ids = np.array(ids, dtype=ids.dtype, copy=True)
-            self._m_rebuilds.inc()
 
     def _store(
         self, ids: np.ndarray, xyz: np.ndarray, mean_d: np.ndarray, kth_d: np.ndarray
@@ -251,3 +368,9 @@ class IncrementalSorFilter:
         mean_d = self._mean_d
         threshold = mean_d.mean() + self._ratio * mean_d.std()
         return mean_d <= threshold
+
+
+def _sqdist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances, in the kd-tree kernel's order."""
+    d = a[:, None, :] - b[None, :, :]
+    return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]

@@ -272,7 +272,10 @@ class IncrementalSfm:
                 rig_registered = self._register_rigs()
                 registered_count += rig_registered
                 progress = rig_registered > 0
+        made = self._store.n
         self._triangulate()
+        # One histogram pass over the view counts of this call's new points.
+        self._h_point_views.record_counts(self._store.views_since(made))
         return registered_count
 
     def _candidates(self) -> List[Photo]:
@@ -345,8 +348,8 @@ class IncrementalSfm:
         """
         if ARTIFICIAL_FEATURE_BASE <= fid < REFLECTION_FEATURE_BASE:
             return (0.0, 0.0, True)
-        feature = self._world.feature(fid)
-        return (feature.position.x, feature.position.y, False)
+        position = self._world.position(fid)
+        return (position.x, position.y, False)
 
     def _photo_columns(self, photo: Photo) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dense idx, or-bits, compat-select) for one photo, cached.
@@ -503,14 +506,13 @@ class IncrementalSfm:
             return  # artificial feature whose oracle position is not known yet
         noisy = self._noisy_position(fid, position, observers)
         self._m_points_new.inc()
-        self._h_point_views.record(len(observers))
         self._store.append(fid, noisy[0], noisy[1], noisy[2], len(observers))
         self._cols.has_point[dense] = True
 
     def _feature_position(self, fid: int) -> Optional[Vec3]:
         if fid >= ARTIFICIAL_FEATURE_BASE:
             return self._artificial_positions.get(fid)
-        return self._world.feature(fid).position
+        return self._world.position(fid)
 
     def _noisy_position(
         self, fid: int, position: Vec3, observers: Set[int]

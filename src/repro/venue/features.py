@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..errors import VenueError
-from ..geometry import Vec2, Vec3
+from ..geometry import Vec3
 from ..simkit.rng import RngStream
 from .model import Venue
 from .surfaces import Surface, SurfaceKind
@@ -43,35 +43,40 @@ class WorldFeature:
 
 
 class FeatureWorld:
-    """All world features of a venue, with numpy views for fast queries."""
+    """All world features of a venue, stored as columns.
 
-    def __init__(self, venue: Venue, features: Sequence[WorldFeature]):
+    The numpy columns serve the fast queries (capture culls the whole
+    world at once, SfM reads positions by id); a :class:`WorldFeature` is
+    built only when :meth:`feature` or :attr:`features` asks for one.
+    """
+
+    def __init__(
+        self,
+        venue: Venue,
+        ids: np.ndarray,
+        positions: np.ndarray,
+        strengths: np.ndarray,
+        surface_ids: np.ndarray,
+        reflections: np.ndarray,
+    ):
         self._venue = venue
-        self._features: Tuple[WorldFeature, ...] = tuple(features)
-        n = len(self._features)
-        self._positions = np.zeros((n, 3), dtype=float)
-        self._strengths = np.zeros(n, dtype=float)
-        self._surface_ids = np.zeros(n, dtype=int)
-        self._ids = np.zeros(n, dtype=int)
-        self._reflections = np.zeros(n, dtype=bool)
-        for i, f in enumerate(self._features):
-            self._positions[i] = f.position.as_tuple()
-            self._strengths[i] = f.strength
-            self._surface_ids[i] = f.surface_id
-            self._ids[i] = f.feature_id
-            self._reflections[i] = f.is_reflection
-        self._by_id: Dict[int, WorldFeature] = {f.feature_id: f for f in self._features}
+        self._ids = ids
+        self._positions = positions
+        self._strengths = strengths
+        self._surface_ids = surface_ids
+        self._reflections = reflections
+        self._rows: Dict[int, int] = dict(zip(ids.tolist(), range(ids.shape[0])))
         # Per-feature floor-plane surface normal, for incidence-angle culling.
-        normal_by_surface = {
-            s.surface_id: s.segment.normal.as_tuple() for s in venue.surfaces
-        }
-        self._normals = np.array(
-            [normal_by_surface[int(sid)] for sid in self._surface_ids], dtype=float
-        ).reshape(n, 2)
+        surfaces = sorted(venue.surfaces, key=lambda s: s.surface_id)
+        table = np.array(
+            [s.segment.normal.as_tuple() for s in surfaces], dtype=float
+        ).reshape(-1, 2)
+        order = np.array([s.surface_id for s in surfaces], dtype=int)
+        self._normals = table[np.searchsorted(order, surface_ids)]
 
     def __deepcopy__(self, memo: dict) -> "FeatureWorld":
         # Write-once after __init__: durability snapshots share the world
-        # (positions/normals arrays and feature tuple) structurally.
+        # (its columns and id index) structurally.
         return self
 
     @property
@@ -80,10 +85,10 @@ class FeatureWorld:
 
     @property
     def features(self) -> Tuple[WorldFeature, ...]:
-        return self._features
+        return tuple(self._feature_at(row) for row in range(len(self)))
 
     def __len__(self) -> int:
-        return len(self._features)
+        return int(self._ids.shape[0])
 
     @property
     def positions(self) -> np.ndarray:
@@ -109,53 +114,67 @@ class FeatureWorld:
         return self._normals
 
     def feature(self, feature_id: int) -> WorldFeature:
+        return self._feature_at(self._row(feature_id))
+
+    def position(self, feature_id: int) -> Vec3:
+        """``feature(feature_id).position``, without building the feature."""
+        x, y, z = self._positions[self._row(feature_id)].tolist()
+        return Vec3(x, y, z)
+
+    def _row(self, feature_id: int) -> int:
         try:
-            return self._by_id[feature_id]
+            return self._rows[feature_id]
         except KeyError:
             raise VenueError(f"no world feature with id {feature_id}") from None
 
+    def _feature_at(self, row: int) -> WorldFeature:
+        x, y, z = self._positions[row].tolist()
+        return WorldFeature(
+            feature_id=int(self._ids[row]),
+            position=Vec3(x, y, z),
+            surface_id=int(self._surface_ids[row]),
+            strength=float(self._strengths[row]),
+            is_reflection=bool(self._reflections[row]),
+        )
 
-def _sample_surface(
-    surface: Surface, rng: RngStream, start_id: int
-) -> List[WorldFeature]:
-    """Jittered-grid sampling of one surface at its material density."""
+
+def _sample_surface(surface: Surface, rng: RngStream) -> Tuple[np.ndarray, np.ndarray]:
+    """Jittered-grid sampling of one surface at its material density.
+
+    Returns the (n, 3) positions and (n,) strengths. Each feature draws
+    (t jitter, height jitter, strength) in that order, cell by cell along
+    the surface and then up it: one ``(n, 3)`` draw with per-column
+    bounds, the sequence of three scalar draws per feature.
+    """
     density = surface.material.feature_density
-    if density <= 0:
-        return []
-    expected = density * surface.area
-    if expected < 0.5:
-        return []
+    if density <= 0 or density * surface.area < 0.5:
+        return np.zeros((0, 3)), np.zeros(0)
     # Grid spacing so that one cell holds one expected feature.
     spacing = 1.0 / math.sqrt(density)
     n_len = max(1, int(round(surface.segment.length / spacing)))
     n_ht = max(1, int(round(surface.height / spacing)))
-    features: List[WorldFeature] = []
-    fid = start_id
-    for i in range(n_len):
-        for j in range(n_ht):
-            t = (i + rng.uniform(0.15, 0.85)) / n_len
-            z_frac = (j + rng.uniform(0.15, 0.85)) / n_ht
-            pos = surface.point_at(t, z_frac)
-            strength = rng.uniform(0.55, 1.0)
-            features.append(
-                WorldFeature(
-                    feature_id=fid,
-                    position=pos,
-                    surface_id=surface.surface_id,
-                    strength=strength,
-                )
-            )
-            fid += 1
-    return features
+    draws = rng.uniform_array((n_len * n_ht, 3), [0.15, 0.15, 0.55], [0.85, 0.85, 1.0])
+    t = (np.repeat(np.arange(n_len), n_ht) + draws[:, 0]) / n_len
+    z_frac = (np.tile(np.arange(n_ht), n_len) + draws[:, 1]) / n_ht
+    # Surface.point_at, elementwise.
+    a, b = surface.segment.a, surface.segment.b
+    positions = np.column_stack(
+        [
+            a.x + (b.x - a.x) * t,
+            a.y + (b.y - a.y) * t,
+            surface.base_z + z_frac * surface.height,
+        ]
+    )
+    return positions, draws[:, 2]
 
 
 def _mirror_reflections(
     venue: Venue,
-    features: List[WorldFeature],
+    positions: np.ndarray,
     rng: RngStream,
     sample_rate: float,
     max_source_distance: float,
-) -> List[WorldFeature]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spurious reflection features: textured geometry mirrored in glass.
 
     The paper notes that "the photos may contain reflective surfaces and the
@@ -164,15 +183,17 @@ def _mirror_reflections(
     sequence observes the same reflection three times, the SfM simulator
     triangulates an outlier point (usually outside the venue) that the
     statistical outlier filter then has to remove.
+
+    ``positions`` are the surface features' (the sources); returns the
+    reflections' positions, strengths and pane ids.
     """
     reflective = [
         s for s in venue.surfaces if s.material.reflective and s.kind != SurfaceKind.DECOR
     ]
-    out: List[WorldFeature] = []
-    fid = REFLECTION_FEATURE_BASE
-    fx = np.array([f.position.x for f in features], dtype=float)
-    fy = np.array([f.position.y for f in features], dtype=float)
-    is_source = ~np.array([f.is_reflection for f in features], dtype=bool)
+    fx, fy, fz = positions[:, 0], positions[:, 1], positions[:, 2]
+    out_xyz: List[Tuple[float, float, float]] = []
+    strengths: List[float] = []
+    panes: List[int] = []
     for pane in sorted(reflective, key=lambda s: s.surface_id):
         pane_rng = rng.child(f"reflection-{pane.surface_id}")
         anchor = pane.segment.a
@@ -186,23 +207,21 @@ def _mirror_reflections(
         t = (rel_x * d.x + rel_y * d.y) / d.norm_sq()
         # Only mirror features whose mirror image lies behind the pane
         # extent (projection onto the segment must fall inside it).
-        eligible = is_source & (np.abs(dist) <= max_source_distance) & (t >= 0.0) & (t <= 1.0)
-        for i in np.nonzero(eligible)[0]:
+        eligible = (np.abs(dist) <= max_source_distance) & (t >= 0.0) & (t <= 1.0)
+        # Vec2 subtraction of the scaled normal, elementwise.
+        mx = fx - normal.x * (2.0 * dist)
+        my = fy - normal.y * (2.0 * dist)
+        for i in np.nonzero(eligible)[0].tolist():
             if not pane_rng.chance(sample_rate):
                 continue
-            f = features[i]
-            mirrored = Vec2(f.position.x, f.position.y) - normal * (2.0 * float(dist[i]))
-            out.append(
-                WorldFeature(
-                    feature_id=fid,
-                    position=Vec3(mirrored.x, mirrored.y, f.position.z),
-                    surface_id=pane.surface_id,
-                    strength=pane_rng.uniform(0.08, 0.2),
-                    is_reflection=True,
-                )
-            )
-            fid += 1
-    return out
+            out_xyz.append((mx[i], my[i], fz[i]))
+            strengths.append(pane_rng.uniform(0.08, 0.2))
+            panes.append(pane.surface_id)
+    return (
+        np.array(out_xyz, dtype=float).reshape(-1, 3),
+        np.array(strengths, dtype=float),
+        np.array(panes, dtype=int),
+    )
 
 
 def build_feature_world(
@@ -217,19 +236,28 @@ def build_feature_world(
     in id order, each with its own child stream. Reflective panes also get
     weak mirrored "reflection" features (see :func:`_mirror_reflections`).
     """
-    features: List[WorldFeature] = []
-    next_id = 0
+    positions, strengths, surface_ids = [np.zeros((0, 3))], [np.zeros(0)], [np.zeros(0, dtype=int)]
     for surface in sorted(venue.surfaces, key=lambda s: s.surface_id):
-        surface_rng = rng.child(f"surface-{surface.surface_id}")
-        sampled = _sample_surface(surface, surface_rng, next_id)
-        features.extend(sampled)
-        next_id += len(sampled)
-    if next_id >= ARTIFICIAL_FEATURE_BASE:
+        xyz, strength = _sample_surface(surface, rng.child(f"surface-{surface.surface_id}"))
+        positions.append(xyz)
+        strengths.append(strength)
+        surface_ids.append(np.full(strength.shape[0], surface.surface_id, dtype=int))
+    positions = np.concatenate(positions)
+    n = positions.shape[0]
+    if n >= ARTIFICIAL_FEATURE_BASE:
         raise VenueError("world feature count collides with artificial id space")
+    columns = [
+        np.arange(n),
+        positions,
+        np.concatenate(strengths),
+        np.concatenate(surface_ids),
+        np.zeros(n, dtype=bool),
+    ]
     if reflection_sample_rate > 0:
-        features.extend(
-            _mirror_reflections(
-                venue, features, rng, reflection_sample_rate, reflection_source_distance
-            )
+        xyz, strength, panes = _mirror_reflections(
+            venue, positions, rng, reflection_sample_rate, reflection_source_distance
         )
-    return FeatureWorld(venue, features)
+        m = strength.shape[0]
+        extra = [REFLECTION_FEATURE_BASE + np.arange(m), xyz, strength, panes, np.ones(m, dtype=bool)]
+        columns = [np.concatenate([old, new]) for old, new in zip(columns, extra)]
+    return FeatureWorld(venue, *columns)

@@ -2,7 +2,8 @@
 
 Capture work that does not depend on yaw runs once per position, backlight
 rays are cast in one batch, the ground-truth raster and the reflection
-sources are computed over arrays. Each replaced scalar path is kept below
+sources are computed over arrays, and the feature world is sampled as
+columns. Each replaced scalar path is kept below
 as an oracle, and every comparison is exact: ``np.array_equal`` or ``==``,
 never a tolerance.
 """
@@ -20,7 +21,7 @@ from repro.geometry import Polygon, Vec2, Vec3
 from repro.mapping import GridSpec
 from repro.simkit import RngStream
 from repro.venue import OfficeSpec, build_feature_world, generate_office
-from repro.venue.features import REFLECTION_FEATURE_BASE, WorldFeature, _sample_surface
+from repro.venue.features import REFLECTION_FEATURE_BASE, WorldFeature
 from repro.venue.ground_truth import build_ground_truth, default_grid_spec
 from repro.venue.surfaces import SurfaceKind
 
@@ -212,11 +213,44 @@ def reference_mirror_reflections(venue, features, rng, sample_rate, max_source_d
     return out
 
 
+def reference_sample_surface(surface, rng, start_id):
+    """Jittered-grid sampling of one surface, three scalar draws a feature."""
+    density = surface.material.feature_density
+    if density <= 0:
+        return []
+    expected = density * surface.area
+    if expected < 0.5:
+        return []
+    spacing = 1.0 / math.sqrt(density)
+    n_len = max(1, int(round(surface.segment.length / spacing)))
+    n_ht = max(1, int(round(surface.height / spacing)))
+    features = []
+    fid = start_id
+    for i in range(n_len):
+        for j in range(n_ht):
+            t = (i + rng.uniform(0.15, 0.85)) / n_len
+            z_frac = (j + rng.uniform(0.15, 0.85)) / n_ht
+            pos = surface.point_at(t, z_frac)
+            strength = rng.uniform(0.55, 1.0)
+            features.append(
+                WorldFeature(
+                    feature_id=fid,
+                    position=pos,
+                    surface_id=surface.surface_id,
+                    strength=strength,
+                )
+            )
+            fid += 1
+    return features
+
+
 def reference_feature_world(venue, rng):
     features = []
     next_id = 0
     for surface in sorted(venue.surfaces, key=lambda s: s.surface_id):
-        sampled = _sample_surface(surface, rng.child(f"surface-{surface.surface_id}"), next_id)
+        sampled = reference_sample_surface(
+            surface, rng.child(f"surface-{surface.surface_id}"), next_id
+        )
         features.extend(sampled)
         next_id += len(sampled)
     features.extend(reference_mirror_reflections(venue, features, rng, 0.04, 4.0))

@@ -1,6 +1,9 @@
 """Metrics registry: counters, gauges, log-bucketed histogram edges."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import MetricsRegistry
@@ -123,6 +126,26 @@ class TestHistogramStats:
         assert snap["type"] == "histogram"
         assert snap["count"] == 2 and snap["zeros"] == 1
         assert snap["buckets"] == [{"le": 4.0, "count": 1}]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(-3, 5000), max_size=40), min_size=1, max_size=6
+        ),
+        growth=st.sampled_from([2.0, 1.5]),
+    )
+    def test_record_counts_equals_per_value_records(self, batches, growth):
+        """One ``record_counts`` per batch leaves the state that one
+        ``record`` per value does, bucket insertion order included."""
+        per_value = Histogram("repro.test.h", base=1.0, growth=growth, max_buckets=12)
+        batched = Histogram("repro.test.h", base=1.0, growth=growth, max_buckets=12)
+        for batch in batches:
+            for v in batch:
+                per_value.record(v)
+            batched.record_counts(batch)
+        assert json.dumps(batched.dump_state()) == json.dumps(per_value.dump_state())
+        assert batched.snapshot() == per_value.snapshot()
 
 
 class TestRegistry:

@@ -39,6 +39,7 @@ from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import SnapTaskPipeline
 from repro.geometry import Vec2, Vec3
 from repro.mapping import calculate_obstacles_map, calculate_visibility_map
+from repro.obs import Telemetry
 from repro.sfm import IncrementalSfm, IncrementalSorFilter, PointCloud, sor_filter, sor_mask
 from repro.sfm.pointcloud import CloudPoint
 from repro.sfm.scratch import ScratchSfm
@@ -287,10 +288,11 @@ class TestIncrementalSorEquivalence:
         assert state.mask(tiny).all()
 
     def test_amortized_rebuild_still_exact(self):
-        """Grow far past the rebuild threshold; every mask stays exact and
-        the main tree is eventually rebuilt."""
+        """A long growth walk (18 steps to 900 points), each served by
+        the delta path on a freshly built grid; every mask stays exact."""
         rng = np.random.default_rng(3)
-        state = IncrementalSorFilter(n_neighbors=6, rebuild_fraction=0.1)
+        telemetry = Telemetry()
+        state = IncrementalSorFilter(n_neighbors=6, telemetry=telemetry)
         n_total = 900
         ids = np.arange(n_total)
         xyz = rng.normal(0.0, 2.0, (n_total, 3))
@@ -299,6 +301,7 @@ class TestIncrementalSorEquivalence:
             np.testing.assert_array_equal(
                 state.mask(cloud), sor_mask(xyz[:size], 6, 2.0)
             )
+        assert telemetry.metrics.counter("repro.sfm.sor.full_recomputes").value == 1
 
     def test_filter_function_matches_sor_filter(self):
         rng = np.random.default_rng(9)

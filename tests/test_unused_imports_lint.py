@@ -1,9 +1,9 @@
 """Unused-import lint: every top-level import in ``src/`` is used.
 
 An import nothing reads is dead weight that still costs: it runs at
-import time (some of these modules pull in scipy), it hides the real
-dependency graph between packages, and it survives every deletion of
-the code that once used it. This test AST-walks every module under
+import time (one heavy import can be half of a run's set-up), it hides
+the real dependency graph between packages, and it survives every
+deletion of the code that once used it. This test AST-walks every module under
 ``src/`` except the package ``__init__.py`` files (whose imports are the
 package's public surface) and fails on a top-level import whose bound
 name the module never reads.

@@ -174,3 +174,17 @@ class TestOffice:
             OfficeSpec(width_m=2.0).validate()
         with pytest.raises(VenueError):
             OfficeSpec(glass_walls=7).validate()
+
+
+class TestFeatureWorld:
+    def test_position_is_the_feature_position(self, bench):
+        """``position`` reads the columns that ``feature`` builds from,
+        for surface and reflection features alike."""
+        world = bench.world
+        assert world.reflections[-1]
+        for fid in world.ids[::97].tolist() + world.ids[-3:].tolist():
+            assert world.position(fid) == world.feature(fid).position
+        with pytest.raises(VenueError):
+            world.position(-1)
+        with pytest.raises(VenueError):
+            world.feature(10**9)
