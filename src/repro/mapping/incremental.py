@@ -19,11 +19,13 @@ grows. This engine maintains the same three artefacts by delta:
 * **Visibility** — per-camera FOV wedges are cached as sorted flat cell
   indices, keyed by the camera pose and its per-sector information-clip
   ranges. A cached wedge is recomputed only when (a) a cell whose
-  occupancy flipped lies inside it, or (b) the camera's observed-point
-  set intersects cloud features that changed, *and* the recomputed clip
-  ranges actually differ. Rule (a) is exact: a ray stops at its first
-  obstacle and that cell is in the wedge, so a flip outside the wedge
-  cannot change any ray. Everything else is reused verbatim.
+  occupancy flipped lies inside it, or (b) the camera observed a cloud
+  feature that changed (:meth:`SfmModel.cameras_observing`), *and* the
+  recomputed clip ranges actually differ. Rule (a) is exact: a ray stops
+  at its first obstacle and that cell is in the wedge, so a flip outside
+  the wedge cannot change any ray. Everything else is reused verbatim.
+  The engine keeps no observer index of its own, so its cache stays a
+  function of the models it is handed.
 * **Coverage** — the covered-cell union (optionally restricted to a site
   mask) is maintained over the dirty region only; no full grid scans.
 
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -145,7 +147,6 @@ class IncrementalMapEngine:
         self._covered = np.zeros(spec.shape, dtype=bool)
         self._covered_cells = 0
         self._cameras: Dict[int, _CameraEntry] = {}
-        self._feature_cams: Dict[int, Set[int]] = {}
         self._cov_dirty: List[np.ndarray] = []
 
     # -- state access ------------------------------------------------------------
@@ -290,11 +291,11 @@ class IncrementalMapEngine:
         is_flipped = np.zeros(self._obst_mask.size, dtype=bool)
         is_flipped[flipped] = True
 
-        # (b) information rule: cameras whose observed-point sets intersect
-        # changed cloud features may have different clip ranges.
-        range_stale: Set[int] = set()
-        for fid in np.concatenate([added[0], removed[0]]).tolist():
-            range_stale.update(self._feature_cams.get(fid, ()))
+        # (b) information rule: cameras that observed a changed cloud
+        # feature may have different clip ranges.
+        range_stale = set(
+            model.cameras_observing(np.concatenate([added[0], removed[0]])).tolist()
+        )
 
         refreshed = 0
         reused = 0
@@ -354,22 +355,11 @@ class IncrementalMapEngine:
         self._cameras[camera.photo_id] = _CameraEntry(
             key, camera.observed_feature_ids, ranges, cells
         )
-        if camera.observed_feature_ids is not None:
-            pid = camera.photo_id
-            for fid in np.asarray(camera.observed_feature_ids).tolist():
-                self._feature_cams.setdefault(fid, set()).add(pid)
 
     def _retire_camera(self, photo_id: int) -> None:
         entry = self._cameras.pop(photo_id)
         self._vis.reshape(-1)[entry.cells] -= 1.0
         self._cov_dirty.append(entry.cells)
-        if entry.observed_ref is not None:
-            for fid in np.asarray(entry.observed_ref).tolist():
-                observers = self._feature_cams.get(fid)
-                if observers is not None:
-                    observers.discard(photo_id)
-                    if not observers:
-                        del self._feature_cams[fid]
 
     def _refresh_wedge(self, camera, entry: _CameraEntry) -> None:
         new_cells = self._wedge_cells(camera, entry.ranges)

@@ -1,8 +1,7 @@
-"""SfM substrate: matching, incremental reconstruction, clouds, filtering."""
+"""SfM substrate: observation table, incremental reconstruction, clouds, filtering."""
 
-from .columnar import FeatureColumns, PointColumnStore
+from .columnar import FeatureColumns, ObservationTable, PointColumnStore, best_seed_pair
 from .filters import IncrementalSorFilter, sor_filter, sor_mask
-from .matching import MatchIndex, match_count
 from .model import RecoveredCamera, SfmModel
 from .pointcloud import CloudPoint, PointCloud
 from .reconstruction import IncrementalSfm, RegistrationReport
@@ -12,13 +11,13 @@ __all__ = [
     "FeatureColumns",
     "IncrementalSfm",
     "IncrementalSorFilter",
-    "MatchIndex",
+    "ObservationTable",
     "PointCloud",
     "PointColumnStore",
     "RecoveredCamera",
     "RegistrationReport",
     "SfmModel",
-    "match_count",
+    "best_seed_pair",
     "sor_filter",
     "sor_mask",
 ]

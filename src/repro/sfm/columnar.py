@@ -1,21 +1,21 @@
-"""Columnar SfM state: dense feature interning + append-only point columns.
+"""Columnar SfM state: dense feature interning, the observation table and
+append-only point columns.
 
-The incremental SfM engine historically kept its per-feature state in
-Python dicts keyed by the *sparse* global feature-id space
-(``_view_masks: Dict[int, int]``, ``_feature_obs: Dict[int, Set[int]]``)
-and rebuilt a fresh :class:`~repro.sfm.pointcloud.PointCloud` — one
-dataclass object per point — on every ``model()`` call.  Both patterns
-cost O(model) Python work per uploaded batch.
-
-This module supplies the two columnar substrates that turn the per-batch
-cost into O(delta):
+The incremental SfM engine keeps no per-feature Python containers. Each
+substrate here is a set of numpy columns, so a batch costs O(delta):
 
 * :class:`FeatureColumns` interns feature ids into a dense ``[0, n)``
   index the first time they are seen, and keeps every per-feature scalar
   (view-compatibility bitmask, registered-observer count, triangulation
-  flag, floor-plane position, wildcard flag) in parallel numpy arrays.
-  The registration test becomes a vectorized gather + bitmask intersect
+  flag, oracle position, wildcard flag) in parallel numpy arrays. The
+  registration test becomes a vectorized gather + bitmask intersect
   instead of a per-feature dict loop.
+
+* :class:`ObservationTable` records which photo observes which feature,
+  one (dense feature, photo id) row per observation, sorted by feature.
+  The registration wavefront, triangulation and seed-pair selection
+  (:func:`best_seed_pair`) all read it; the engine's pending and
+  registered dicts say which observers are which.
 
 * :class:`PointColumnStore` is an append-only columnar store for
   triangulated points.  Snapshots (``sorted_columns``) are maintained by
@@ -23,28 +23,25 @@ cost into O(delta):
   (``np.searchsorted`` + ``np.insert``), and the merged arrays are
   frozen (``writeable=False``) so :class:`PointCloud` views can share
   them copy-on-write across batches.
-
-Growth policy for both stores is capacity doubling, so amortized append
-cost is O(1) per row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-__all__ = ["FeatureColumns", "PointColumnStore"]
+__all__ = ["FeatureColumns", "ObservationTable", "PointColumnStore", "best_seed_pair"]
 
 
 def _grow(array: np.ndarray, n_needed: int) -> np.ndarray:
-    """Return ``array`` grown (by doubling) to hold ``n_needed`` rows."""
+    """Return ``array`` grown (by doubling, zero-filled) to hold ``n_needed`` rows."""
     cap = array.shape[0]
     if n_needed <= cap:
         return array
     new_cap = max(n_needed, cap * 2, 64)
-    shape = (new_cap,) + array.shape[1:]
-    grown = np.empty(shape, dtype=array.dtype)
+    grown = np.zeros((new_cap,) + array.shape[1:], dtype=array.dtype)
     grown[:cap] = array
     return grown
 
@@ -52,19 +49,20 @@ def _grow(array: np.ndarray, n_needed: int) -> np.ndarray:
 class FeatureColumns:
     """Dense interning of the sparse feature-id space + per-feature columns.
 
-    ``resolve(fid) -> (x, y, wildcard)`` classifies a feature at intern
-    time: ``wildcard`` features (artificial textures) match from every
-    viewpoint and carry no floor position; all others resolve to their
-    oracle floor-plane position, used for angular-bucket computation.
+    ``resolve(fids) -> (xyz, wildcard)`` classifies a batch of unseen
+    features at intern time: ``wildcard`` features (artificial textures)
+    match from every viewpoint and carry no position; all others resolve
+    to their oracle position, whose floor coordinates give each
+    observation's angular bucket and whose value a triangulated point
+    starts from.
     """
 
-    def __init__(self, resolve: Callable[[int], Tuple[float, float, bool]]):
+    def __init__(self, resolve: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]):
         self._resolve = resolve
         self._index: Dict[int, int] = {}
         cap = 1024
-        self.ids = np.empty(cap, dtype=np.int64)
-        self.x = np.empty(cap, dtype=np.float64)
-        self.y = np.empty(cap, dtype=np.float64)
+        self.ids = np.zeros(cap, dtype=np.int64)
+        self.xyz = np.zeros((cap, 3), dtype=np.float64)
         self.wildcard = np.zeros(cap, dtype=bool)
         #: Per-feature bitmask of angular buckets registered observers saw
         #: it from (0 == not yet observed by any registered photo).
@@ -75,65 +73,127 @@ class FeatureColumns:
         self.has_point = np.zeros(cap, dtype=bool)
         self._n = 0
 
-    def __len__(self) -> int:
-        return self._n
-
     def index_of(self, fid: int) -> Optional[int]:
         """Dense index of ``fid`` or ``None`` if never interned."""
         return self._index.get(fid)
 
     def intern_many(self, fids: np.ndarray) -> np.ndarray:
-        """Dense indices for ``fids``, interning unseen ids on the fly.
+        """Dense indices for ``fids``, interning unseen ids in first-seen order.
 
-        The Python loop runs only over ids; unseen ids additionally pay
-        one ``resolve`` call.  Each photo is interned exactly once (the
-        engine caches the result), so this is O(features-per-photo) per
-        photo over the whole campaign — not per batch retest.
+        The Python loop runs only over ids; the unseen ones are resolved
+        together in one ``resolve`` call, and nothing is interned if it
+        raises. The engine interns each photo once, on arrival.
         """
         index = self._index
-        out = np.empty(fids.shape[0], dtype=np.int64)
-        for i, raw in enumerate(fids):
-            fid = int(raw)
+        fresh: Dict[int, int] = {}
+        out = []
+        for fid in fids.tolist():
             dense = index.get(fid)
             if dense is None:
-                dense = self._add(fid)
-            out[i] = dense
-        return out
-
-    def _add(self, fid: int) -> int:
-        dense = self._n
-        n_needed = dense + 1
-        self.ids = _grow(self.ids, n_needed)
-        self.x = _grow(self.x, n_needed)
-        self.y = _grow(self.y, n_needed)
-        if n_needed > self.wildcard.shape[0]:
-            # Zero-initialised columns must preserve zeros on growth.
-            self.wildcard = _grow_zeros(self.wildcard, n_needed)
-            self.view_mask = _grow_zeros(self.view_mask, n_needed)
-            self.obs_count = _grow_zeros(self.obs_count, n_needed)
-            self.has_point = _grow_zeros(self.has_point, n_needed)
-        x, y, wildcard = self._resolve(fid)
-        self.ids[dense] = fid
-        self.x[dense] = x
-        self.y[dense] = y
-        self.wildcard[dense] = wildcard
-        self._index[fid] = dense
-        self._n = n_needed
-        return dense
-
-    def ids_of(self, dense: np.ndarray) -> np.ndarray:
-        """Raw feature ids for an array of dense indices."""
-        return self.ids[dense]
+                dense = fresh.setdefault(fid, self._n + len(fresh))
+            out.append(dense)
+        if fresh:
+            new_ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+            xyz, wildcard = self._resolve(new_ids)
+            start, end = self._n, self._n + len(fresh)
+            for name in ("ids", "xyz", "wildcard", "view_mask", "obs_count", "has_point"):
+                setattr(self, name, _grow(getattr(self, name), end))
+            self.ids[start:end] = new_ids
+            self.xyz[start:end] = xyz
+            self.wildcard[start:end] = wildcard
+            index.update(fresh)
+            self._n = end
+        return np.asarray(out, dtype=np.int64)
 
 
-def _grow_zeros(array: np.ndarray, n_needed: int) -> np.ndarray:
-    cap = array.shape[0]
-    if n_needed <= cap:
-        return array
-    new_cap = max(n_needed, cap * 2, 64)
-    grown = np.zeros((new_cap,) + array.shape[1:], dtype=array.dtype)
-    grown[:cap] = array
-    return grown
+class ObservationTable:
+    """Which photo observes which feature: one row per observation.
+
+    Rows are (dense feature, photo id), added once, when a photo arrives.
+    They stay sorted by feature, and each feature's rows stay in arrival
+    order: a batch is sorted stably on its own and inserted after each
+    feature's earlier rows (``searchsorted(side="right")`` + ``insert``),
+    the way :class:`PointColumnStore` merges its snapshots. The table
+    holds no status; callers pass the pending or registered photo ids
+    they mean.
+    """
+
+    def __init__(self) -> None:
+        self.features = np.zeros(0, dtype=np.int64)
+        self.photos = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self.features.shape[0])
+
+    def add(self, photo_ids: Sequence[int], features: Sequence[np.ndarray]) -> None:
+        """Merge in one batch: ``features[i]`` are the dense features of
+        ``photo_ids[i]``, and the photos arrive in the order given."""
+        if not photo_ids:
+            return
+        new_features = np.concatenate(features)
+        new_photos = np.repeat(
+            np.asarray(photo_ids, dtype=np.int64), [len(f) for f in features]
+        )
+        order = np.argsort(new_features, kind="stable")
+        new_features, new_photos = new_features[order], new_photos[order]
+        pos = np.searchsorted(self.features, new_features, side="right")
+        self.features = np.insert(self.features, pos, new_features)
+        self.photos = np.insert(self.photos, pos, new_photos)
+
+    def spans(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row range ``[lo, hi)`` of each of ``features``."""
+        return (
+            np.searchsorted(self.features, features, side="left"),
+            np.searchsorted(self.features, features, side="right"),
+        )
+
+    def observers(self, features: np.ndarray) -> np.ndarray:
+        """Photo ids of every row of ``features``: feature by feature, each
+        feature's in arrival order."""
+        lo, hi = self.spans(features)
+        lengths = hi - lo
+        shift = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        return self.photos[np.arange(shift.shape[0]) + shift]
+
+    def dirty_observers(
+        self, features: np.ndarray, pending: Collection[int], dirty: Set[int]
+    ) -> int:
+        """The registration wavefront: add the ``pending`` observers of
+        ``features`` to ``dirty``; return how many were not in it yet."""
+        before = len(dirty)
+        dirty.update(pid for pid in set(self.observers(features).tolist()) if pid in pending)
+        return len(dirty) - before
+
+    def groups(self) -> List[np.ndarray]:
+        """Each observed feature's photo ids, by ascending dense feature."""
+        cuts = np.flatnonzero(self.features[1:] != self.features[:-1]) + 1
+        return np.split(self.photos, cuts)
+
+
+def best_seed_pair(
+    table: ObservationTable, pending: Collection[int], min_matches: int
+) -> Optional[Tuple[int, int, int]]:
+    """Strongest pending photo pair ``(id_a, id_b, matches)`` with at least
+    ``min_matches`` shared features, or ``None``.
+
+    Pairs are counted over the table's per-feature groups, so the cost
+    follows the observation count rather than the photo-pair count. A tie
+    goes to the pair counted first: features in dense (first-seen) order,
+    each feature's pairs in ascending photo id.
+    """
+    pair_counts: Dict[Tuple[int, int], int] = defaultdict(int)
+    for group in table.groups():
+        # Cap very popular features: they add quadratic pair-count work
+        # but little discriminative signal for seed selection.
+        ordered = sorted({pid for pid in group.tolist() if pid in pending})[:40]
+        for i in range(len(ordered)):
+            for j in range(i + 1, len(ordered)):
+                pair_counts[(ordered[i], ordered[j])] += 1
+    best: Optional[Tuple[int, int, int]] = None
+    for (a, b), count in pair_counts.items():
+        if count >= min_matches and (best is None or count > best[2]):
+            best = (a, b, count)
+    return best
 
 
 class PointColumnStore:

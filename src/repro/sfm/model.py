@@ -40,7 +40,11 @@ class RecoveredCamera:
 
 
 class SfmModel:
-    """Immutable snapshot of a reconstruction."""
+    """Immutable snapshot of a reconstruction.
+
+    Everything it answers derives from its cloud and its cameras, so a
+    hand-built model and one snapshotted from an engine behave alike.
+    """
 
     def __init__(self, cloud: PointCloud, cameras: Sequence[RecoveredCamera]):
         self._cloud = cloud
@@ -51,6 +55,8 @@ class SfmModel:
         if len(set(ids)) != len(ids):
             raise ReconstructionError("duplicate camera photo ids in model")
         self._by_id: Dict[int, RecoveredCamera] = {c.photo_id: c for c in self._cameras}
+        # (feature id, photo id) per camera observation, built on first use.
+        self._observations: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def cloud(self) -> PointCloud:
@@ -76,6 +82,30 @@ class SfmModel:
 
     def is_registered(self, photo_id: int) -> bool:
         return photo_id in self._by_id
+
+    def cameras_observing(self, feature_ids: np.ndarray) -> np.ndarray:
+        """Sorted photo ids of the cameras that observed any of ``feature_ids``.
+
+        Derived from the cameras' own ``observed_feature_ids`` (a camera
+        without them observed nothing): the first query concatenates them
+        into columns that the model keeps, and each query is one
+        vectorised membership pass over those columns.
+        """
+        wanted = np.asarray(feature_ids, dtype=np.int64)
+        if wanted.shape[0] == 0:
+            return wanted
+        if self._observations is None:
+            cameras = [c for c in self._cameras if c.observed_feature_ids is not None]
+            observed = [np.asarray(c.observed_feature_ids, dtype=np.int64) for c in cameras]
+            self._observations = (
+                np.concatenate(observed) if observed else np.zeros(0, dtype=np.int64),
+                np.repeat(
+                    np.array([c.photo_id for c in cameras], dtype=np.int64),
+                    [len(ids) for ids in observed],
+                ),
+            )
+        features, photos = self._observations
+        return np.unique(photos[np.isin(features, wanted, kind="table")])
 
     def with_cloud(self, cloud: PointCloud) -> "SfmModel":
         """Same cameras, different cloud (e.g. after outlier filtering)."""

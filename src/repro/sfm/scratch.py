@@ -12,13 +12,15 @@ engine against it bit for bit:
   each feature from;
 * rig anchors are a set union against the features the model observed
   when the rig pass began;
-* triangulation scans the whole observation table;
+* triangulation scans every registered observation, kept in the
+  oracle's own ``fid -> registered photo ids`` dict (its ``_register``
+  keeps it up to date), not in the engine's observation table;
 * ``model()`` rebuilds the cloud point by point.
 
-Everything else — the registration thresholds, pose and point noise,
-feature interning and the point store — is inherited, so any difference
-between the two engines is a difference of strategy. Production code
-never constructs this class.
+Everything else — the registration thresholds, seed-pair selection, pose
+and point noise, feature interning and the point store — is inherited,
+so any difference between the two engines is a difference of strategy.
+Production code never constructs this class.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ class ScratchSfm(IncrementalSfm):
         self._buckets: Dict[int, np.ndarray] = {}
         # World features the model observed when the current rig pass began.
         self._known: Set[int] = set()
+        # fid -> photo ids of the registered photos observing it.
+        self._feature_obs: Dict[int, Set[int]] = {}
 
     def model(self) -> SfmModel:
         """From-scratch per-point rebuild of the cloud."""
@@ -58,7 +62,12 @@ class ScratchSfm(IncrementalSfm):
         return SfmModel(PointCloud(points), list(self._registered.values()))
 
     def _candidates(self) -> List[Photo]:
-        return self._pending.photos()
+        return list(self._pending.values())
+
+    def _register(self, photo: Photo) -> None:
+        super()._register(photo)
+        for fid in photo.feature_ids:
+            self._feature_obs.setdefault(int(fid), set()).add(photo.photo_id)
 
     def _buckets_for(self, photo: Photo) -> np.ndarray:
         """Per-observation view bucket (``WILDCARD_BUCKET`` for wildcards)."""

@@ -10,8 +10,7 @@ the ``scratch-twin`` label — otherwise the twin checks nothing.
 from __future__ import annotations
 
 from repro.core import pipeline as pipeline_module
-from repro.sfm import IncrementalSfm
-from repro.sfm.matching import MatchIndex
+from repro.sfm import IncrementalSfm, ObservationTable
 from repro.testkit import Scenario, run_scenario
 
 
@@ -42,9 +41,11 @@ def test_clean_run_matches_its_scratch_twin():
 def test_planted_wavefront_bug_fails_the_scratch_twin(monkeypatch):
     # Registered photos stop re-dirtying the pending photos that observe
     # their features, so a photo that failed its first test is never
-    # re-tested. Only the wavefront reads ``observers_view``; the oracle
+    # re-tested. Only the wavefront calls ``dirty_observers``; the oracle
     # rescans every pending photo each round.
-    monkeypatch.setattr(MatchIndex, "observers_view", lambda self, feature_id: ())
+    monkeypatch.setattr(
+        ObservationTable, "dirty_observers", lambda self, features, pending, dirty: 0
+    )
     result = run_scenario(small_scenario(), check_determinism=False)
     assert result.label == "scratch-twin", (result.label, result.crash)
     assert result.determinism_detail.startswith("scratch twin diverged")

@@ -1,10 +1,11 @@
-"""Tests for the feature match index and point cloud / filters."""
+"""Tests for feature matching over the observation table, and for point
+clouds and filters."""
 
 import numpy as np
 import pytest
 
 from repro.camera import GALAXY_S7, CameraPose
-from repro.sfm import MatchIndex, PointCloud, match_count, sor_filter, sor_mask
+from repro.sfm import ObservationTable, PointCloud, best_seed_pair, sor_filter, sor_mask
 from repro.sfm.pointcloud import CloudPoint
 
 
@@ -12,97 +13,68 @@ def take(bench, x, y, yaw=0.0):
     return bench.capture.take_photo(CameraPose.at(x, y, yaw), GALAXY_S7, blur=0.0)
 
 
+def table_of(photos):
+    """An observation table keyed by raw feature id, photos in list order."""
+    table = ObservationTable()
+    table.add([p.photo_id for p in photos], [p.feature_ids for p in photos])
+    return table
+
+
 class TestMatchIndex:
+    """Two photos match on the world features they both observe."""
+
     def test_match_count_same_pose_high(self, bench):
         a = take(bench, 10.0, 1.7, -1.57)
         b = take(bench, 10.05, 1.7, -1.57)
-        assert match_count(a, b) > 30
+        assert len(a.feature_id_set() & b.feature_id_set()) > 30
 
     def test_match_count_opposite_views_low(self, bench):
         a = take(bench, 10.0, 1.7, -1.57)
         b = take(bench, 10.0, 1.7, 1.57)
-        assert match_count(a, b) < 10
-
-    def test_match_count_equals_legacy_membership_loop(self, bench):
-        """Pin the set-intersection rewrite to the previous algorithm.
-
-        ``match_count`` used to walk one photo's feature ids and test
-        membership in the other's set one element at a time.  The rewrite
-        (``len(sa & sb)``) must produce the same number for every pair,
-        including self-pairs and asymmetric operand orders.
-        """
-
-        def legacy_match_count(a, b):
-            sb = b.feature_id_set()
-            count = 0
-            for fid in a.feature_id_set():
-                if fid in sb:
-                    count += 1
-            return count
-
-        photos = [
-            take(bench, 10.0, 1.7, -1.57),
-            take(bench, 10.05, 1.7, -1.57),
-            take(bench, 10.0, 1.7, 1.57),
-            take(bench, 18.8, 4.7, 1.57),
-        ]
-        for a in photos:
-            for b in photos:
-                assert match_count(a, b) == legacy_match_count(a, b)
-                assert match_count(a, b) == match_count(b, a)
+        assert len(a.feature_id_set() & b.feature_id_set()) < 10
 
     def test_index_add_remove(self, bench):
-        index = MatchIndex()
+        # Rows are added once; a photo leaves the pending observers when
+        # it leaves ``pending``, and the table itself never shrinks.
         a = take(bench, 10.0, 1.7, -1.57)
-        index.add(a)
-        assert a.photo_id in index
-        assert len(index) == 1
-        index.remove(a.photo_id)
-        assert a.photo_id not in index
-        assert len(index) == 0
-
-    def test_duplicate_add_is_noop(self, bench):
-        index = MatchIndex()
-        a = take(bench, 10.0, 1.7, -1.57)
-        index.add(a)
-        index.add(a)
-        assert len(index) == 1
-
-    def test_pair_match_counts(self, bench):
-        index = MatchIndex()
-        a = take(bench, 10.0, 1.7, -1.57)
-        b = take(bench, 10.05, 1.7, -1.57)
-        index.add(a)
-        index.add(b)
-        counts = index.pair_match_counts(a)
-        assert counts.get(b.photo_id, 0) == match_count(a, b)
+        table = table_of([a])
+        assert len(table) == a.n_features
+        features = np.unique(a.feature_ids)
+        dirty = set()
+        assert table.dirty_observers(features, {a.photo_id}, dirty) == 1
+        assert dirty == {a.photo_id}
+        assert table.dirty_observers(features, set(), set()) == 0
+        assert len(table) == a.n_features
 
     def test_best_seed_pair(self, bench):
-        index = MatchIndex()
         a = take(bench, 10.0, 1.7, -1.57)
         b = take(bench, 10.05, 1.7, -1.57)
         c = take(bench, 18.8, 4.7, 1.57)  # unrelated view
-        for p in (a, b, c):
-            index.add(p)
-        seed = index.best_seed_pair(min_matches=20)
+        table = table_of([a, b, c])
+        seed = best_seed_pair(table, {a.photo_id, b.photo_id, c.photo_id}, min_matches=20)
         assert seed is not None
         assert {seed[0], seed[1]} == {a.photo_id, b.photo_id}
+        assert seed[2] == len(a.feature_id_set() & b.feature_id_set())
 
     def test_best_seed_pair_none_when_sparse(self, bench):
-        index = MatchIndex()
-        index.add(take(bench, 10.0, 1.7, -1.57))
-        index.add(take(bench, 18.8, 4.7, 1.57))
-        assert index.best_seed_pair(min_matches=30) is None
+        a = take(bench, 10.0, 1.7, -1.57)
+        c = take(bench, 18.8, 4.7, 1.57)
+        table = table_of([a, c])
+        assert best_seed_pair(table, {a.photo_id, c.photo_id}, min_matches=30) is None
+
+    def test_best_seed_pair_counts_pending_photos_only(self, bench):
+        a = take(bench, 10.0, 1.7, -1.57)
+        b = take(bench, 10.05, 1.7, -1.57)
+        table = table_of([a, b])
+        assert best_seed_pair(table, {a.photo_id}, min_matches=1) is None
 
     def test_observers_view(self, bench):
-        index = MatchIndex()
         a = take(bench, 10.0, 1.7, -1.57)
-        index.add(a)
+        table = table_of([a])
         fid = int(a.feature_ids[0])
-        observers = index.observers_view(fid)
-        assert a.photo_id in observers
-        # Unknown features yield an empty (non-copying) view.
-        assert len(index.observers_view(-1)) == 0
+        assert a.photo_id in table.observers(np.array([fid])).tolist()
+        # Unknown features have no observers.
+        assert table.observers(np.array([-1])).shape == (0,)
 
 
 def make_cloud(points):
