@@ -15,6 +15,8 @@ operates on actual pixels, not on privileged simulator state.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from ..errors import CaptureError
@@ -25,16 +27,21 @@ LAPLACIAN_KERNEL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 def convolve2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Plain 'same'-size 2-D convolution with edge-replicate padding, in numpy."""
+    """Plain 'same'-size 2-D convolution with edge-replicate padding, in numpy.
+
+    ``image`` may be a stack (..., H, W): each image is convolved on its
+    own, with the same elementwise operations as a lone image.
+    """
     image = np.asarray(image, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     kh, kw = kernel.shape
     ph, pw = kh // 2, kw // 2
-    padded = np.pad(image, ((ph, ph), (pw, pw)), mode="edge")
+    h, w = image.shape[-2:]
+    padded = np.pad(image, ((0, 0),) * (image.ndim - 2) + ((ph, ph), (pw, pw)), mode="edge")
     out = np.zeros_like(image)
     for i in range(kh):
         for j in range(kw):
-            out += kernel[i, j] * padded[i : i + image.shape[0], j : j + image.shape[1]]
+            out += kernel[i, j] * padded[..., i : i + h, j : j + w]
     return out
 
 
@@ -72,6 +79,25 @@ def render_patch(blur: float, rng: RngStream, size: int = 24) -> np.ndarray:
     # Mild sensor noise so identical blur levels do not yield identical scores.
     noisy = blurred + rng.normal_array((size, size), 0.0, 0.004)
     return np.clip(noisy, 0.0, 1.0)
+
+
+def render_patches(blur: float, rngs: Sequence[RngStream], size: int = 24) -> List[np.ndarray]:
+    """:func:`render_patch` for each stream of ``rngs``, blurred as one stack.
+
+    Each stream draws its scene and then its noise, as in
+    :func:`render_patch`, and every pixel goes through the same operations,
+    so each patch equals the one :func:`render_patch` renders from its
+    stream. Each returned patch owns its pixels.
+    """
+    if size < 3:
+        raise CaptureError("patch size must be >= 3")
+    scenes = np.empty((len(rngs), size, size))
+    noise = np.empty((len(rngs), size, size))
+    for k, rng in enumerate(rngs):
+        scenes[k] = rng.uniform_array((size, size), 0.0, 1.0)
+        noise[k] = rng.normal_array((size, size), 0.0, 0.004)
+    noisy = convolve2d_same(scenes, motion_blur_kernel(blur)) + noise
+    return [np.clip(patch, 0.0, 1.0) for patch in noisy]
 
 
 def detection_factor(blur: float) -> float:

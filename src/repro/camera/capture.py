@@ -19,13 +19,20 @@ guided sweep shoots all its photos from one spot, so that work is done
 once per capture position (:class:`_Station`). Each photo then projects
 only the station's features and raycasts only features whose occlusion
 the station has not yet resolved.
+
+A sweep is one shot group (:class:`_ShotGroup`): its first ``take_photo``
+captures every shot at once -- one backlight raycast, one occlusion
+raycast over every feature any shot detected, one stacked patch blur --
+and the later ones hand out the prepared photos. Every photo is still a
+pure function of its photo id, pose, blur and flags, so a photo is the
+same whether its group holds 45 shots or one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from ..geometry import SegmentSoup, Vec2
 from ..simkit.rng import RngStream
 from ..venue.features import FeatureWorld
 from ..venue.surfaces import SurfaceKind
-from .blur import detection_factor, render_patch
+from .blur import detection_factor, render_patches
 from .intrinsics import ExifMetadata, Intrinsics
 from .photo import Photo
 from .pose import CameraPose
@@ -112,6 +119,35 @@ class _Station:
         return self._clear[local]
 
 
+class _ShotGroup:
+    """Shots declared together from one stand, with one set of settings.
+
+    ``settings`` is (intrinsics, blur, source, exposure_compensated) and
+    each shot is (pose, timestamp_s). The ``take_photo`` of the first shot
+    captures the whole group, with consecutive photo ids from its own, and
+    each later shot is handed out by the ``take_photo`` that asks for it.
+    Any other ``take_photo`` drops the group, so a shot that is handed out
+    carries the id one-at-a-time capture would give it.
+    """
+
+    def __init__(self, shots: List[Tuple[CameraPose, float]], settings: tuple):
+        self.shots = shots
+        self.settings = settings
+        self.photos: Optional[List[Photo]] = None
+        self.taken = 0
+
+    def expects(self, pose: CameraPose, timestamp_s: float, settings: tuple) -> bool:
+        return (
+            self.taken < len(self.shots)
+            and self.shots[self.taken] == (pose, timestamp_s)
+            and self.settings == settings
+        )
+
+    def hand_out(self) -> Photo:
+        self.taken += 1
+        return self.photos[self.taken - 1]
+
+
 class CaptureSimulator:
     """Produces :class:`Photo` objects from camera poses in one venue."""
 
@@ -133,6 +169,8 @@ class CaptureSimulator:
         self._cos_max_incidence = math.cos(math.radians(sfm_config.max_incidence_deg))
         # The station of the last capture position (see _station_for).
         self._station: Optional[_Station] = None
+        # The shot group whose next shot take_photo expects (see sweep).
+        self._group: Optional[_ShotGroup] = None
         # Transparent (glass) panes for the backlight exposure model.
         glass = [
             s
@@ -174,33 +212,22 @@ class CaptureSimulator:
         deliberate capture where the photographer meters on the subject
         (tap-to-expose), as annotation participants do when photographing
         glass surfaces.
+
+        A call that asks for the next shot of the declared group (see
+        :meth:`sweep`) gets it from the group; any other call drops the
+        group and is a group of one.
         """
         if not 0.0 <= blur <= 1.0:
             raise CaptureError(f"blur must be in [0, 1], got {blur}")
         photo_id = next(self._photo_ids)
-        photo_rng = self._rng.child(f"photo-{photo_id}")
-
-        feature_idx, pixels = self._visible_features(
-            pose, intrinsics, blur, photo_rng, exposure_compensated
-        )
-        exif = ExifMetadata(
-            device_model=intrinsics.device_model,
-            focal_length_px=intrinsics.focal_length_px,
-            image_width_px=intrinsics.image_width_px,
-            image_height_px=intrinsics.image_height_px,
-            timestamp_s=timestamp_s,
-            venue_id=self._venue_id,
-        )
-        patch = render_patch(blur, photo_rng.child("patch"), self._camera.patch_size_px)
-        return Photo(
-            photo_id=photo_id,
-            exif=exif,
-            true_pose=pose,
-            feature_ids=self._world.ids[feature_idx],
-            pixels_uv=pixels,
-            patch=patch,
-            source=source,
-        )
+        settings = (intrinsics, blur, source, exposure_compensated)
+        group = self._group
+        if group is None or not group.expects(pose, timestamp_s, settings):
+            self._group = None
+            group = _ShotGroup([(pose, timestamp_s)], settings)
+        if group.photos is None:
+            group.photos = self._capture(group, photo_id)
+        return group.hand_out()
 
     # -- internals ------------------------------------------------------------
 
@@ -212,17 +239,59 @@ class CaptureSimulator:
             )
         return self._station
 
-    def _visible_features(
+    def _capture(self, group: _ShotGroup, first_id: int) -> List[Photo]:
+        """Every photo of ``group``, in shot order, from ids ``first_id`` on."""
+        intrinsics, blur, source, exposure_compensated = group.settings
+        poses = [pose for pose, _timestamp in group.shots]
+        station = self._station_for(poses[0])
+        rngs = [self._rng.child(f"photo-{first_id + k}") for k in range(len(poses))]
+        exposures = [1.0] * len(poses) if exposure_compensated else self._exposure_factors(poses)
+        detections = [
+            self._detect(station, pose, intrinsics, blur, exposure, rng)
+            for pose, exposure, rng in zip(poses, exposures, rngs)
+        ]
+        # One occlusion raycast for every feature that any shot detected.
+        station.visible(np.unique(np.concatenate([detected for detected, _u, _v in detections])))
+        patches = render_patches(
+            blur, [rng.child("patch") for rng in rngs], self._camera.patch_size_px
+        )
+        photos = []
+        for k, ((pose, timestamp_s), (detected, u, v), rng) in enumerate(
+            zip(group.shots, detections, rngs)
+        ):
+            feature_idx, pixels = self._observe(station, detected, u, v, rng)
+            exif = ExifMetadata(
+                device_model=intrinsics.device_model,
+                focal_length_px=intrinsics.focal_length_px,
+                image_width_px=intrinsics.image_width_px,
+                image_height_px=intrinsics.image_height_px,
+                timestamp_s=timestamp_s,
+                venue_id=self._venue_id,
+            )
+            photos.append(
+                Photo(
+                    photo_id=first_id + k,
+                    exif=exif,
+                    true_pose=pose,
+                    feature_ids=self._world.ids[feature_idx],
+                    pixels_uv=pixels,
+                    patch=patches[k],
+                    source=source,
+                )
+            )
+        return photos
+
+    def _detect(
         self,
+        station: _Station,
         pose: CameraPose,
         intrinsics: Intrinsics,
         blur: float,
+        exposure: float,
         photo_rng: RngStream,
-        exposure_compensated: bool = False,
-    ):
-        """Indices of detected features plus their noisy pixel coordinates."""
-        station = self._station_for(pose)
-
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Station-local indices of the features one photo detects, with
+        their projected pixel coordinates (u, v), before occlusion."""
         # Pin-hole projection (matches geometry.transforms.PinholeProjection).
         cos_y, sin_y = math.cos(pose.yaw_rad), math.sin(pose.yaw_rad)
         z_fwd = station.dx * cos_y + station.dy * sin_y
@@ -236,11 +305,7 @@ class CaptureSimulator:
 
         # Station-local indices from here on; ascending, like world indices.
         candidates = np.nonzero(mask)[0]
-        if candidates.size == 0:
-            return np.zeros(0, dtype=int), np.zeros((0, 2))
-
         # Detection dropout before the (more expensive) occlusion raycast.
-        exposure = 1.0 if exposure_compensated else self._exposure_factor(pose)
         p = (
             self._sfm.base_detection_prob
             * station.strengths[candidates]
@@ -249,29 +314,39 @@ class CaptureSimulator:
             * exposure
         )
         detected = candidates[photo_rng.child("detect").uniform_array(candidates.size) < p]
-        if detected.size == 0:
-            return np.zeros(0, dtype=int), np.zeros((0, 2))
+        return detected, u[detected], v[detected]
 
-        visible = detected[station.visible(detected)]
+    def _observe(
+        self,
+        station: _Station,
+        detected: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        photo_rng: RngStream,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """World indices of the detected features that are not occluded,
+        capped, plus their noisy pixel coordinates."""
+        visible = np.nonzero(station.visible(detected))[0]
         if visible.size > MAX_OBSERVATIONS_PER_PHOTO:
             keep = photo_rng.child("cap").permutation(visible.size)[:MAX_OBSERVATIONS_PER_PHOTO]
             visible = visible[np.sort(keep)]
 
         noise = photo_rng.child("pixel").normal_array((visible.size, 2), 0.0, PIXEL_NOISE_STD)
         pixels = np.stack([u[visible], v[visible]], axis=1) + noise
-        return station.index[visible], pixels
+        return station.index[detected[visible]], pixels
 
-    def _exposure_factor(self, pose: CameraPose) -> float:
-        """Backlight penalty: glass-dominated frames lose contrast.
+    def _exposure_factors(self, poses: Sequence[CameraPose]) -> List[float]:
+        """Backlight penalty of each pose: glass-dominated frames lose contrast.
 
         Daylight behind "large transparent glass panels" overwhelms a
         phone camera's exposure; the darkened interior yields far fewer
         features. The penalty grows with the fraction of the FOV whose
-        first surface hit is a transparent pane.
+        first surface hit is a transparent pane. The poses share one
+        position, so their rays are cast together, one call per soup.
         """
         strength = self._sfm.backlight_strength
         if strength <= 0 or len(self._glass_soup) == 0:
-            return 1.0
+            return [1.0] * len(poses)
         n_rays = 13
         half = self._camera.hfov_rad / 2.0
         directions = np.array(
@@ -279,15 +354,19 @@ class CaptureSimulator:
                 Vec2.from_angle(pose.yaw_rad - half + (2.0 * half) * i / (n_rays - 1))
                 .normalized()
                 .as_tuple()
+                for pose in poses
                 for i in range(n_rays)
             ]
         )
+        origin = poses[0].position
         reach = self._sfm.max_feature_range_m
-        glass = self._glass_soup.first_hits(pose.position, directions, reach)
-        opaque = self._tall_soup.first_hits(pose.position, directions, reach)
+        glass = self._glass_soup.first_hits(origin, directions, reach).reshape(-1, n_rays)
+        opaque = self._tall_soup.first_hits(origin, directions, reach).reshape(-1, n_rays)
         # A ray is glassy when it meets glass before any tall opaque surface.
-        fraction = int(np.count_nonzero(glass < opaque)) / n_rays
-        return 1.0 - strength * fraction ** 1.5
+        return [
+            1.0 - strength * (int(np.count_nonzero(glassy)) / n_rays) ** 1.5
+            for glassy in glass < opaque
+        ]
 
     def sweep(
         self,
@@ -303,15 +382,22 @@ class CaptureSimulator:
     ) -> Iterator[Photo]:
         """The guided 360° capture: one photo every ``step_deg`` degrees.
 
-        All photos share one position, so they share one station.
+        All photos share one position, so the sweep declares them as one
+        shot group, which its first ``take_photo`` captures at once. Each
+        photo still comes from its own ``take_photo`` call.
         """
         from .pose import sweep_poses
 
-        for i, pose in enumerate(sweep_poses(center, step_deg, height_m, start_deg)):
-            yield self.take_photo(
-                pose,
-                intrinsics,
-                blur=blur,
-                timestamp_s=start_timestamp_s + i * interval_s,
-                source=source,
-            )
+        shots = [
+            (pose, start_timestamp_s + i * interval_s)
+            for i, pose in enumerate(sweep_poses(center, step_deg, height_m, start_deg))
+        ]
+        group = self._group = _ShotGroup(shots, (intrinsics, blur, source, False))
+        try:
+            for pose, timestamp_s in shots:
+                yield self.take_photo(
+                    pose, intrinsics, blur=blur, timestamp_s=timestamp_s, source=source
+                )
+        finally:
+            if self._group is group:
+                self._group = None

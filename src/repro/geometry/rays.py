@@ -1,14 +1,15 @@
 """Raycasting against collections of 2-D segments.
 
 Occlusion is the performance-critical geometric query: every simulated
-photo must test hundreds of candidate feature points against all opaque
+photo must test hundreds of candidate feature points against the opaque
 surfaces. :class:`SegmentSoup` stores segments in numpy arrays and answers
-batched visibility queries with broadcasting instead of per-segment Python
-loops.
+batched visibility queries over (target, segment) pairs instead of
+per-segment Python loops, evaluating only the pairs that can intersect.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,22 @@ from .segments import Segment
 from .vec import Vec2
 
 _EPS = 1e-9
+
+#: ``visible`` evaluates a (target, segment) pair when the segment passes
+#: within ``PRUNE_RADIUS_M`` of the origin, or when the target's bearing
+#: lies within ``PRUNE_MARGIN_RAD`` of the bearings the segment spans.
+#: Every other pair provably reports no hit: a pair the hit test accepts
+#: has its computed crossing within ``ERROR_GAIN * |a - o| |r| |d|`` metres
+#: of the segment, and a segment is pruned only while that error stays
+#: below ``PRUNE_ERROR_BUDGET_M``, which keeps the crossing's bearing
+#: within half the margin of the segment's span (DESIGN.md section 5).
+PRUNE_RADIUS_M = 0.25
+PRUNE_MARGIN_RAD = 0.05
+ERROR_GAIN = 1e-6
+PRUNE_ERROR_BUDGET_M = 0.5 * PRUNE_RADIUS_M * math.sin(PRUNE_MARGIN_RAD)
+
+#: Pairs evaluated per block in ``visible``.
+PAIR_BLOCK = 8192
 
 
 class SegmentSoup:
@@ -40,6 +57,7 @@ class SegmentSoup:
         self._ay = np.array([s.a.y for s in self._segments], dtype=float)
         self._dx = np.array([s.b.x - s.a.x for s in self._segments], dtype=float)
         self._dy = np.array([s.b.y - s.a.y for s in self._segments], dtype=float)
+        self._length = np.hypot(self._dx, self._dy)
         self._n = n
         if heights is not None:
             if len(heights) != n:
@@ -76,6 +94,10 @@ class SegmentSoup:
         When ``origin_z`` and ``target_z`` (shape (N,)) are given, the
         sight line is treated as 3-D: a crossing only blocks if the line's
         height at the crossing lies within the segment's vertical extent.
+
+        Only the (target, segment) pairs of :meth:`_pairs` are evaluated;
+        the pairs left out cannot report a hit, so the mask is the one a
+        test of every pair gives.
         """
         targets = np.asarray(targets, dtype=float)
         if targets.ndim != 2 or targets.shape[1] != 2:
@@ -89,35 +111,92 @@ class SegmentSoup:
         ox, oy = origin.x, origin.y
         rx = targets[:, 0] - ox  # (N,)
         ry = targets[:, 1] - oy
-
-        # Ray: origin + t * r, t in [0, 1). Segment j: a_j + u * d_j, u in [0, 1].
-        # Solve r x d != 0 case with broadcasting: shape (N, M).
-        denom = rx[:, None] * self._dy[None, :] - ry[:, None] * self._dx[None, :]
-        qpx = self._ax[None, :] - ox
-        qpy = self._ay[None, :] - oy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (qpx * self._dy[None, :] - qpy * self._dx[None, :]) / denom
-            u = (qpx * ry[:, None] - qpy * rx[:, None]) / denom
-
+        qpx = self._ax - ox  # (M,)
+        qpy = self._ay - oy
         dist = np.hypot(rx, ry)
+
         # Stop slightly before the target so surface-mounted points survive.
         t_max = np.where(dist > 0, 1.0 - np.maximum(target_margin / np.maximum(dist, _EPS), _EPS), 0.0)
-        hits = (
-            (np.abs(denom) > _EPS)
-            & (t > _EPS)
-            & (t < t_max[:, None])
-            & (u >= -_EPS)
-            & (u <= 1.0 + _EPS)
-        )
-        if origin_z is not None and target_z is not None:
+        heights = origin_z is not None and target_z is not None
+        if heights:
             target_z = np.asarray(target_z, dtype=float)
             if target_z.shape[0] != n_targets:
                 raise GeometryError("target_z must align with targets")
-            # Height of the sight line at each crossing: (N, M).
-            z_at = origin_z + (target_z[:, None] - origin_z) * t
-            in_extent = (z_at >= self._base_z[None, :]) & (z_at <= self._top_z[None, :])
-            hits &= in_extent
-        return ~hits.any(axis=1)
+
+        ti, sj = self._pairs(qpx, qpy, rx, ry, dist)
+        blocked = np.zeros(n_targets, dtype=bool)
+        # Blocks of pairs keep the temporaries small, whatever the call's size.
+        for lo in range(0, ti.shape[0], PAIR_BLOCK):
+            i, j = ti[lo : lo + PAIR_BLOCK], sj[lo : lo + PAIR_BLOCK]
+            # Ray: origin + t * r, t in [0, 1). Segment j: a_j + u * d_j, u in [0, 1].
+            dx, dy = self._dx[j], self._dy[j]
+            pqx, pqy = qpx[j], qpy[j]
+            prx, pry = rx[i], ry[i]
+            denom = prx * dy - pry * dx
+            # A parallel pair divides by zero; its hit test fails on |denom|.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (pqx * dy - pqy * dx) / denom
+                u = (pqx * pry - pqy * prx) / denom
+                hits = (
+                    (np.abs(denom) > _EPS)
+                    & (t > _EPS)
+                    & (t < t_max[i])
+                    & (u >= -_EPS)
+                    & (u <= 1.0 + _EPS)
+                )
+                if heights:
+                    # Height of the sight line at each crossing.
+                    z_at = origin_z + (target_z[i] - origin_z) * t
+                    hits &= (z_at >= self._base_z[j]) & (z_at <= self._top_z[j])
+            blocked[i[hits]] = True
+        return ~blocked
+
+    def _pairs(
+        self, qpx: np.ndarray, qpy: np.ndarray, rx: np.ndarray, ry: np.ndarray, dist: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(target, segment) index columns of the pairs that can hit.
+
+        A segment within ``PRUNE_RADIUS_M`` of the origin, or one whose
+        error bound exceeds ``PRUNE_ERROR_BUDGET_M`` for this call's
+        farthest target, pairs with every target. Any other segment pairs
+        with the targets whose bearing lies within ``PRUNE_MARGIN_RAD`` of
+        its angular span. The targets are sorted by bearing once, and each
+        window is found by binary search in the bearings unrolled over
+        [-3 pi, 3 pi], so a window across +-pi is one contiguous run.
+        """
+        n = rx.shape[0]
+        dx, dy, length = self._dx, self._dy, self._length
+        # Segments are non-degenerate (Segment rejects length < 1e-9).
+        s = np.clip(-(qpx * dx + qpy * dy) / (length * length), 0.0, 1.0)
+        gap = np.hypot(qpx + s * dx, qpy + s * dy)
+        reach = dist.max()
+        q = np.hypot(qpx, qpy)
+        error = ERROR_GAIN * (q * length * reach + q + length + reach)
+        everyone = ~((gap > PRUNE_RADIUS_M) & (error <= PRUNE_ERROR_BUDGET_M))
+
+        # The bearings a segment spans: from lo counter-clockwise through
+        # width (< pi, as the segment misses the origin), widened by the margin.
+        bx, by = qpx + dx, qpy + dy
+        cross = qpx * by - qpy * bx
+        width = np.arctan2(np.abs(cross), qpx * bx + qpy * by)
+        lo = np.arctan2(qpy, qpx) - np.where(cross < 0, width, 0.0) - PRUNE_MARGIN_RAD
+        hi = lo + width + 2.0 * PRUNE_MARGIN_RAD
+
+        bearing = np.arctan2(ry, rx)
+        order = np.argsort(bearing, kind="stable")
+        ring = bearing[order]
+        unrolled = np.concatenate([ring - 2.0 * math.pi, ring, ring + 2.0 * math.pi])
+        start = np.searchsorted(unrolled, lo, side="left")
+        stop = np.searchsorted(unrolled, hi, side="right")
+        start[everyone] = n
+        stop[everyone] = 2 * n
+        counts = stop - start
+        seg = np.repeat(np.arange(self._n), counts)
+        # Each pair's place in the unrolled bearings: its run's start plus its rank.
+        place = np.arange(seg.shape[0])
+        place += np.repeat(start - (np.cumsum(counts) - counts), counts)
+        place %= n
+        return order[place], seg
 
     def first_hits(self, origin: Vec2, directions: np.ndarray, max_range: float) -> np.ndarray:
         """Distance to the closest segment along each ray from ``origin``.

@@ -127,7 +127,7 @@ class IncrementalSfm:
         # Oracle positions for artificial-texture features (Algorithm 6).
         self._artificial_positions: Dict[int, Vec3] = {}
         # Dense per-feature state + per-photo (dense idx, or-bits,
-        # compat-select) columns, cached by photo id.
+        # compat-select) columns, cached by photo id until it registers.
         self._cols = FeatureColumns(self._resolve_features)
         self._photo_cols: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Wavefront state: pending photos whose registration test could
@@ -452,6 +452,8 @@ class IncrementalSfm:
         self._registration_log.append(pid)
         self._new_camera_ids.append(pid)
         self._add_views(photo)
+        # Only pending photos' columns are read again.
+        self._photo_cols.pop(pid, None)
 
     def _add_views(self, photo: Photo) -> None:
         """A registered photo's view bits join the model: vectorized mask

@@ -10,7 +10,7 @@ others, so experiment results are stable across refactors.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,12 +24,24 @@ def _digest_seed(master_seed: int, name: str) -> int:
 
 
 class RngStream:
-    """A named random stream backed by :class:`numpy.random.Generator`."""
+    """A named random stream backed by :class:`numpy.random.Generator`.
+
+    The generator is built on the first draw: many streams only ever
+    derive children (a photo's ``photo-<id>`` stream, for one), and a
+    stream's draws depend on its seed and name alone, not on when its
+    generator was built.
+    """
 
     def __init__(self, master_seed: int, name: str):
         self._master_seed = master_seed
         self._name = name
-        self._gen = np.random.default_rng(_digest_seed(master_seed, name))
+        self._built: Optional[np.random.Generator] = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._built is None:
+            self._built = np.random.default_rng(_digest_seed(self._master_seed, self._name))
+        return self._built
 
     @property
     def name(self) -> str:

@@ -1,11 +1,12 @@
 """Exact equivalence of the vectorised capture and venue paths.
 
-Capture work that does not depend on yaw runs once per position, backlight
-rays are cast in one batch, the ground-truth raster and the reflection
-sources are computed over arrays, and the feature world is sampled as
-columns. Each replaced scalar path is kept below
-as an oracle, and every comparison is exact: ``np.array_equal`` or ``==``,
-never a tolerance.
+Capture work that does not depend on yaw runs once per position, a sweep
+is captured as one shot group (one backlight raycast, one occlusion
+raycast, one stacked patch blur), the ground-truth raster and the
+reflection sources are computed over arrays, and the feature world is
+sampled as columns. Each replaced scalar path is kept below as an oracle,
+and every comparison is exact: ``np.array_equal`` or ``==``, never a
+tolerance.
 """
 
 import math
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.camera import GALAXY_S7, CameraPose, CaptureSimulator
 from repro.camera import capture as capture_module
-from repro.camera.blur import detection_factor
+from repro.camera.pose import sweep_poses
+from repro.camera.blur import detection_factor, render_patch, variance_of_laplacian
 from repro.geometry import Polygon, Vec2, Vec3
 from repro.mapping import GridSpec
 from repro.simkit import RngStream
@@ -265,6 +267,9 @@ def office_world(office):
     return build_feature_world(office, RngStream(7, "office-world"))
 
 
+SITE_SEED = 11
+
+
 @pytest.fixture(params=["library", "office"])
 def site(request, bench, office_world):
     """(fresh capture simulator, two open capture spots) per venue."""
@@ -275,7 +280,7 @@ def site(request, bench, office_world):
         spots = (venue.entrance + Vec2(0.0, 1.5), venue.nearest_traversable(Vec2(7.0, 8.5)))
         world = office_world
     sim = CaptureSimulator(
-        world, bench.config.sfm, bench.config.camera, RngStream(11, f"eq-{request.param}")
+        world, bench.config.sfm, bench.config.camera, RngStream(SITE_SEED, f"eq-{request.param}")
     )
     return sim, spots
 
@@ -287,13 +292,58 @@ def assert_matches_reference(sim, photo, blur, exposure_compensated=False):
     )
     assert np.array_equal(photo.feature_ids, sim.world.ids[idx])
     assert np.array_equal(photo.pixels_uv, pixels)
+    patch = render_patch(blur, photo_rng.child("patch"), sim._camera.patch_size_px)
+    assert np.array_equal(photo.patch, patch)
+    assert photo.sharpness() == variance_of_laplacian(patch)
+
+
+def assert_same_photo(got, want):
+    """Byte-identical photos: every field, every array's values and dtype."""
+    assert got.photo_id == want.photo_id
+    assert got.exif == want.exif
+    assert got.true_pose == want.true_pose
+    assert got.source == want.source
+    for a, b in (
+        (got.feature_ids, want.feature_ids),
+        (got.pixels_uv, want.pixels_uv),
+        (got.patch, want.patch),
+    ):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def one_at_a_time(sim, requests):
+    """The requested captures on a fresh simulator, each ``take_photo`` alone.
+
+    A request is (pose, blur, timestamp_s, source).
+    """
+    fresh = CaptureSimulator(sim.world, sim._sfm, sim._camera, RngStream(SITE_SEED, sim._rng.name))
+    return [
+        fresh.take_photo(pose, GALAXY_S7, blur=blur, timestamp_s=timestamp_s, source=source)
+        for pose, blur, timestamp_s, source in requests
+    ]
+
+
+def sweep_requests(center, step_deg, blur, start_deg=0.0, start_timestamp_s=0.0):
+    """The requests a sweep makes of ``take_photo``, in order."""
+    return [
+        (pose, blur, start_timestamp_s + i * 1.0, "guided")
+        for i, pose in enumerate(sweep_poses(center, step_deg, 1.5, start_deg))
+    ]
+
+
+def assert_one_at_a_time(sim, photos, requests):
+    assert len(photos) == len(requests)
+    for got, want in zip(photos, one_at_a_time(sim, requests)):
+        assert_same_photo(got, want)
 
 
 # -- capture ----------------------------------------------------------------
 
 
 class TestCaptureEquivalence:
-    @pytest.mark.parametrize("blur", [0.0, 0.04, 0.85])
+    # Motion-blur kernel widths 1, 1, 3 and 8.
+    @pytest.mark.parametrize("blur", [0.0, 0.04, 0.3, 0.85])
     def test_sweep(self, site, blur):
         sim, (spot, _other) = site
         photos = list(sim.sweep(spot, GALAXY_S7, 8.0, blur=blur, start_deg=3.0))
@@ -343,14 +393,103 @@ class TestCaptureEquivalence:
         venue = sim.world.venue
         factors = []
         for center in spots + (venue.entrance, Vec2(0.6, 7.0), Vec2(1.2, 11.0)):
-            for i in range(24):
-                pose = CameraPose.at(center.x, center.y, yaw_rad=2.0 * math.pi * i / 24)
-                factor = sim._exposure_factor(pose)
-                assert factor == reference_exposure(sim, pose)
-                factors.append(factor)
+            poses = [
+                CameraPose.at(center.x, center.y, yaw_rad=2.0 * math.pi * i / 24)
+                for i in range(24)
+            ]
+            # All 24 poses in one batch, and each pose alone.
+            batch = sim._exposure_factors(poses)
+            assert batch == [sim._exposure_factors([pose])[0] for pose in poses]
+            assert batch == [reference_exposure(sim, pose) for pose in poses]
+            factors.extend(batch)
         # Some poses faced glass and some did not.
         assert min(factors) < 1.0
         assert max(factors) == 1.0
+
+
+class TestShotGroups:
+    """A sweep's photos equal one-at-a-time capture, however it is consumed."""
+
+    def test_full_sweep(self, site):
+        sim, (spot, _other) = site
+        photos = list(sim.sweep(spot, GALAXY_S7, 8.0, blur=0.04, start_timestamp_s=7.0))
+        assert_one_at_a_time(sim, photos, sweep_requests(spot, 8.0, 0.04, start_timestamp_s=7.0))
+
+    def test_abandoned_sweep(self, site):
+        sim, (spot, other) = site
+        sweep = sim.sweep(spot, GALAXY_S7, 8.0, blur=0.3, start_deg=5.0)
+        photos = [next(sweep) for _ in range(10)]
+        requests = sweep_requests(spot, 8.0, 0.3, start_deg=5.0)[:10]
+        del sweep
+        # A fresh sweep elsewhere, then single shots at the abandoned spot,
+        # the first of them the abandoned sweep's next shot.
+        photos += list(sim.sweep(other, GALAXY_S7, 30.0))
+        requests += sweep_requests(other, 30.0, 0.04)
+        for pose, blur, timestamp_s, source in sweep_requests(spot, 8.0, 0.3, start_deg=5.0)[10:13]:
+            photos.append(
+                sim.take_photo(pose, GALAXY_S7, blur=blur, timestamp_s=timestamp_s, source=source)
+            )
+            requests.append((pose, blur, timestamp_s, source))
+        assert [p.photo_id for p in photos] == list(range(1, len(photos) + 1))
+        assert_one_at_a_time(sim, photos, requests)
+
+    def test_interleaved_take_photo(self, site):
+        sim, (spot, other) = site
+        sweep_shots = sweep_requests(spot, 8.0, 0.04)
+        photos, requests = [], []
+        for i, photo in enumerate(sim.sweep(spot, GALAXY_S7, 8.0, blur=0.04)):
+            photos.append(photo)
+            requests.append(sweep_shots[i])
+            if i not in (4, 5, 20):
+                continue
+            # Interleaved shots that differ from the sweep's next shot in
+            # pose alone (another spot, or the same spot and a hair of
+            # yaw), or in blur too.
+            pose, blur, timestamp_s, source = sweep_shots[i + 1]
+            pose = {
+                4: CameraPose.at(other.x, other.y, yaw_rad=pose.yaw_rad),
+                5: pose.rotated(1e-12),
+                20: pose,
+            }[i]
+            blur = 0.85 if i == 20 else blur
+            photos.append(
+                sim.take_photo(pose, GALAXY_S7, blur=blur, timestamp_s=timestamp_s, source=source)
+            )
+            requests.append((pose, blur, timestamp_s, source))
+        assert len(photos) == 48
+        assert_one_at_a_time(sim, photos, requests)
+        for photo, (_pose, blur, _t, _s) in zip(photos, requests):
+            assert_matches_reference(sim, photo, blur)
+
+    def test_one_photo_groups(self, site):
+        sim, (spot, _other) = site
+        # A sweep abandoned before its first photo, then a one-shot sweep.
+        sim.sweep(spot, GALAXY_S7, 8.0)
+        photos = list(sim.sweep(spot, GALAXY_S7, 360.0, start_deg=45.0))
+        assert len(photos) == 1
+        assert_one_at_a_time(sim, photos, sweep_requests(spot, 360.0, 0.04, start_deg=45.0))
+
+    def test_sweep_calls_take_photo_once_per_photo(self, site, monkeypatch):
+        sim, (spot, _other) = site
+        calls = []
+        real = CaptureSimulator.take_photo
+
+        def counting(self, *args, **kwargs):
+            photo = real(self, *args, **kwargs)
+            calls.append(photo.photo_id)
+            return photo
+
+        monkeypatch.setattr(CaptureSimulator, "take_photo", counting)
+        photos = list(sim.sweep(spot, GALAXY_S7, 8.0))
+        assert len(photos) == 45
+        assert calls == [p.photo_id for p in photos]
+
+    def test_patches_own_their_pixels(self, site):
+        sim, (spot, other) = site
+        photos = list(sim.sweep(spot, GALAXY_S7, 8.0))
+        photos.append(sim.take_photo(CameraPose.at(other.x, other.y), GALAXY_S7))
+        for photo in photos:
+            assert photo.patch.base is None
 
 
 # -- venue geometry ---------------------------------------------------------

@@ -39,6 +39,58 @@ class TestDeterminism:
         assert a.uniform() == b.uniform()
 
 
+def eager_draws(stream):
+    """One of every draw kind, in order."""
+    return (
+        stream.uniform(),
+        stream.normal(),
+        stream.integers(0, 1000),
+        stream.normal_array((3, 2)).tolist(),
+        stream.uniform_array(4).tolist(),
+        stream.permutation(6).tolist(),
+    )
+
+
+class TestLazyGenerator:
+    def eager(self, name):
+        """The generator a stream built at construction would hold."""
+        from repro.simkit.rng import _digest_seed
+
+        stream = RngStream(5, name)
+        stream._built = np.random.default_rng(_digest_seed(5, name))
+        return stream
+
+    def test_first_draw_builds_the_generator(self):
+        stream = RngStream(5, "lazy")
+        child = stream.child("c")
+        assert stream._built is None and child._built is None
+        stream.uniform()
+        assert stream._built is not None and child._built is None
+
+    def test_draws_equal_eager_construction(self):
+        assert eager_draws(RngStream(5, "lazy")) == eager_draws(self.eager("lazy"))
+        assert eager_draws(RngStream(5, "lazy").child("c")) == eager_draws(self.eager("lazy/c"))
+
+    def test_deep_copy_of_an_unbuilt_stream(self):
+        import copy
+
+        original = RngStream(5, "lazy")
+        clone = copy.deepcopy(original)
+        assert clone._built is None
+        assert eager_draws(clone) == eager_draws(self.eager("lazy"))
+        # The copy drew on its own generator; the original starts fresh.
+        assert original._built is None
+        assert eager_draws(original) == eager_draws(self.eager("lazy"))
+
+    def test_deep_copy_mid_stream(self):
+        import copy
+
+        stream = RngStream(5, "lazy")
+        stream.uniform()
+        clone = copy.deepcopy(stream)
+        assert eager_draws(clone) == eager_draws(stream)
+
+
 class TestDraws:
     def test_uniform_range(self, rng):
         values = [rng.uniform(2.0, 3.0) for _ in range(100)]
