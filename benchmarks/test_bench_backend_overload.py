@@ -10,9 +10,10 @@ campaign outcome.
 
 The four lane shapes are independent deployments, so they fan out
 across the executor pool (``benchmarks/sweep.py``); a checkpoint-copy
-microbench on a real exported state graph records what the structured
-fast copy (``persist/fastcopy.py``) saves per snapshot versus
-``copy.deepcopy``.
+microbench on a real exported state graph times the copy a checkpoint
+makes (``copy.deepcopy``, as ``Snapshotter.checkpoint`` takes it) and
+checks what that copy shares with the live graph: every photo and
+recovered camera, and no task.
 
 Rows encode the lane shape with ``workers=0`` for the infinite-server
 model and ``queue_limit=-1`` for an unbounded admission queue (JSON has
@@ -26,13 +27,16 @@ same sweep, same artefacts, written to a temporary directory.
 import copy
 import os
 
+from repro.camera.photo import Photo
 from repro.config import paper_config
+from repro.core.tasks import Task
 from repro.eval import Workbench
 from repro.obs.bench import BENCH_BACKEND_SCHEMA, write_bench
 from repro.obs.wallclock import wall_now_s
-from repro.persist.fastcopy import fast_deepcopy
 from repro.persist.snapshot import structural_size
 from repro.server import Deployment
+from repro.sfm.model import RecoveredCamera
+from tests.test_persist_sharing import objects, reachable
 
 from .conftest import write_result
 from .sweep import run_deployment_sweep
@@ -64,31 +68,35 @@ def _row(workers, queue_limit, report):
     }
 
 
-def _checkpoint_copy_times():
-    """Time one real checkpoint copy: fast_deepcopy vs copy.deepcopy.
+def _checkpoint_copy():
+    """Time one real checkpoint copy and sort what it shares.
 
-    Uses the state graph a crowded deployment actually exports (the same
-    object the Snapshotter copies), so the datapoint measures the copy
-    the durability lane pays on every snapshot cadence.
+    Copies the state graph a crowded deployment actually exports, the
+    way ``Snapshotter.checkpoint`` does, so the datapoint measures the
+    copy the durability lane pays on every snapshot cadence. Returns the
+    mean copy time and, per kind, the ids reachable from the live graph
+    and from the copy.
     """
     deployment = Deployment(
         Workbench.for_library(paper_config()), n_clients=N_CLIENTS
     )
     deployment.run(until_s=SIM_HORIZON_S / 2, max_events=250_000)
     server = deployment.server
+    kinds = (Photo, RecoveredCamera, Task)
     with server.pipeline.compact_history():
         state = server.export_state()
         t0 = wall_now_s()
         for _ in range(CHECKPOINT_REPS):
-            slow = copy.deepcopy(state)
-        deepcopy_s = (wall_now_s() - t0) / CHECKPOINT_REPS
-        t0 = wall_now_s()
-        for _ in range(CHECKPOINT_REPS):
-            fast = fast_deepcopy(state)
-        fastcopy_s = (wall_now_s() - t0) / CHECKPOINT_REPS
-    # Both copies must capture the same logical state.
-    assert structural_size(fast) == structural_size(slow) == structural_size(state)
-    return deepcopy_s, fastcopy_s
+            image = copy.deepcopy(state)
+        copy_s = (wall_now_s() - t0) / CHECKPOINT_REPS
+        live, copied = reachable(state, kinds), reachable(image, kinds)
+    # The copy must capture the same logical state.
+    assert structural_size(image) == structural_size(state)
+    ids = {
+        kind: (objects(live, kind).keys(), objects(copied, kind).keys())
+        for kind in kinds
+    }
+    return copy_s, ids
 
 
 def test_bench_backend_overload_sweep(benchmark, results_dir):
@@ -112,8 +120,8 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
         }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    deepcopy_s, fastcopy_s = _checkpoint_copy_times()
-    copy_speedup = deepcopy_s / fastcopy_s if fastcopy_s > 0 else 1.0
+    copy_s, ids = _checkpoint_copy()
+    shared = {kind: len(live & copied) for kind, (live, copied) in ids.items()}
 
     baseline = results[(None, None)]
     lines = [
@@ -145,8 +153,9 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
     lines.append("")
     lines.append(
         f"checkpoint copy of one exported state graph "
-        f"({CHECKPOINT_REPS} reps): copy.deepcopy {deepcopy_s * 1e3:.2f} ms, "
-        f"fast_deepcopy {fastcopy_s * 1e3:.2f} ms ({copy_speedup:.2f}x)"
+        f"({CHECKPOINT_REPS} reps): copy.deepcopy {copy_s * 1e3:.2f} ms; it "
+        f"shares {shared[Photo]} photos and {shared[RecoveredCamera]} recovered "
+        f"cameras with the live graph and copies all {len(ids[Task][1])} tasks"
     )
     write_result(results_dir, "overload_backend", "\n".join(lines))
 
@@ -157,9 +166,10 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
             max(r["sfm_queue_wait_s"] for r in results.values()), 6
         ),
         "total_shed": sum(r["batches_shed"] for r in results.values()),
-        "checkpoint_deepcopy_ms": round(deepcopy_s * 1e3, 3),
-        "checkpoint_fastcopy_ms": round(fastcopy_s * 1e3, 3),
-        "checkpoint_copy_speedup": round(copy_speedup, 3),
+        "checkpoint_copy_ms": round(copy_s * 1e3, 3),
+        "checkpoint_shared_photos": shared[Photo],
+        "checkpoint_shared_cameras": shared[RecoveredCamera],
+        "checkpoint_copied_tasks": len(ids[Task][1]),
     }
     write_bench(
         results_dir / "BENCH_backend.json",
@@ -195,8 +205,11 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
     for report in results.values():
         assert report["tasks_completed"] > 0
 
-    # The structured copy must not be slower than the protocol-discovery
-    # path it replaced (asserted only on full runs: smoke reps are too
-    # few to be stable).
-    if not SMOKE:
-        assert copy_speedup > 1.0, (deepcopy_s, fastcopy_s)
+    # The checkpoint copy shares every photo and recovered camera with
+    # the live graph (they are never written after they are built), and
+    # copies every task.
+    for kind in (Photo, RecoveredCamera):
+        live, copied = ids[kind]
+        assert copied and copied == live, kind.__name__
+    live, copied = ids[Task]
+    assert copied and not copied & live

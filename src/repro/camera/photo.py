@@ -43,6 +43,23 @@ class Photo:
         self._patch = patch
         self._source = source
         self._sharpness: Optional[float] = None
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for array in (self._feature_ids, self._pixels_uv, self._patch):
+            array.setflags(write=False)
+
+    def __deepcopy__(self, memo: dict) -> "Photo":
+        # An uploaded photo never changes: durability snapshots share it
+        # with the live graph, and its read-only arrays make a write
+        # through either reference raise. (The lazily cached sharpness
+        # is a pure function of the patch.)
+        return self
+
+    def __setstate__(self, state: dict) -> None:
+        # WAL replay unpickles photos, and pickle drops the read-only flag.
+        self.__dict__.update(state)
+        self._freeze()
 
     # -- identity -----------------------------------------------------------
 

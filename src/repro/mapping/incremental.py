@@ -17,8 +17,10 @@ grows. This engine maintains the same three artefacts by delta:
   filter subtract one — and only the touched cells are re-thresholded
   into the obstacles grid.
 * **Visibility** — per-camera FOV wedges are cached as sorted flat cell
-  indices, keyed by the camera pose and its per-sector information-clip
-  ranges. A cached wedge is recomputed only when (a) a cell whose
+  indices, keyed by the camera object (a frozen
+  :class:`~repro.sfm.model.RecoveredCamera`, which copies as itself) and
+  its per-sector information-clip ranges. A cached wedge is recomputed
+  only when (a) a cell whose
   occupancy flipped lies inside it, or (b) the camera observed a cloud
   feature that changed (:meth:`SfmModel.cameras_observing`), *and* the
   recomputed clip ranges actually differ. Rule (a) is exact: a ray stops
@@ -84,11 +86,10 @@ class MapUpdate:
 class _CameraEntry:
     """Cached wedge of one registered camera."""
 
-    __slots__ = ("key", "observed_ref", "ranges", "cells")
+    __slots__ = ("camera", "ranges", "cells")
 
-    def __init__(self, key, observed_ref, ranges, cells):
-        self.key = key  # (x, y, yaw, hfov) — invalidates on pose change
-        self.observed_ref = observed_ref  # identity of observed-ids array
+    def __init__(self, camera, ranges, cells):
+        self.camera = camera  # the frozen camera the wedge was cast for
         self.ranges = ranges  # per-sector info-clip ranges
         self.cells = cells  # sorted flat cell indices of the wedge
 
@@ -302,15 +303,15 @@ class IncrementalMapEngine:
         n_new = 0
         for camera in model.cameras:
             entry = self._cameras.get(camera.photo_id)
-            key = self._camera_key(camera)
             if entry is None:
-                self._admit_camera(camera, key)
+                self._admit_camera(camera)
                 n_new += 1
                 continue
-            if entry.key != key or entry.observed_ref is not camera.observed_feature_ids:
-                # Pose/intrinsics/observations changed: full refresh.
+            if entry.camera is not camera:
+                # A new camera object (pose, intrinsics or observations
+                # may differ): full refresh.
                 self._retire_camera(camera.photo_id)
-                self._admit_camera(camera, key)
+                self._admit_camera(camera)
                 refreshed += 1
                 continue
             needs_mask = flipped.size > 0 and bool(is_flipped[entry.cells].any())
@@ -325,10 +326,6 @@ class IncrementalMapEngine:
             else:
                 reused += 1
         return refreshed, reused, n_new
-
-    def _camera_key(self, camera: RecoveredCamera):
-        pose = camera.pose
-        return (pose.position.x, pose.position.y, pose.yaw_rad, camera.hfov_rad)
 
     def _ranges_for(self, camera):
         return sector_information_ranges(
@@ -347,14 +344,12 @@ class IncrementalMapEngine:
             ray_ranges_m=ranges,
         )
 
-    def _admit_camera(self, camera, key) -> None:
+    def _admit_camera(self, camera) -> None:
         ranges = self._ranges_for(camera)
         cells = self._wedge_cells(camera, ranges)
         self._vis.reshape(-1)[cells] += 1.0
         self._cov_dirty.append(cells)
-        self._cameras[camera.photo_id] = _CameraEntry(
-            key, camera.observed_feature_ids, ranges, cells
-        )
+        self._cameras[camera.photo_id] = _CameraEntry(camera, ranges, cells)
 
     def _retire_camera(self, photo_id: int) -> None:
         entry = self._cameras.pop(photo_id)

@@ -41,7 +41,7 @@ class GrantRecord:
 
     t: float
     client_id: str
-    request_id: Optional[str]
+    request_id: str
     position_x: Optional[float]
     position_y: Optional[float]
 
@@ -59,7 +59,7 @@ class AdmitRecord:
     """
 
     t: float
-    batch_id: Optional[str]
+    batch_id: str
     task_id: Optional[int]
     seq: Optional[int]
 
@@ -77,7 +77,7 @@ class BatchRecord:
     done_t: float
     client_id: str
     task_id: Optional[int]
-    batch_id: Optional[str]
+    batch_id: str
     photos_blob: bytes
     seq: Optional[int]
     wait_s: Optional[float]
@@ -91,7 +91,7 @@ class EmptyBatchRecord:
     t: float
     client_id: str
     task_id: Optional[int]
-    batch_id: Optional[str]
+    batch_id: str
 
 
 @dataclass(frozen=True)

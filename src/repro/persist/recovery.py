@@ -17,8 +17,10 @@ snapshot generations (DESIGN §10), newest first:
 
 Restoring one generation (unchanged from the happy path):
 
-1. Deep-copy the snapshot image (the stored image stays pristine, which
-   is what makes recovery re-runnable — and auditable).
+1. Deep-copy the snapshot image with ``copy.deepcopy`` (the stored
+   image stays pristine, which is what makes recovery re-runnable — and
+   auditable). Photos and recovered cameras copy as themselves, exactly
+   as they did into the checkpoint.
 2. Construct a fresh :class:`BackendServer` on the live simulator and
    install the copied state graph.
 3. Replay the WAL suffix past the snapshot's position through
@@ -37,6 +39,7 @@ the equivalence invariant.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -44,7 +47,6 @@ from ..errors import PersistenceError, UnrecoverableStateError
 from ..obs.metrics import MetricsRegistry
 from ..obs.wallclock import wall_now_s
 from .digest import state_digest
-from .fastcopy import fast_deepcopy
 from .snapshot import Snapshot, Snapshotter, verify_snapshot
 
 __all__ = ["RecoveryManager", "RecoveryResult"]
@@ -199,7 +201,7 @@ class RecoveryManager:
         """Steps 1–4: fresh server, installed image, replayed suffix."""
         from ..server.backend import BackendServer  # lazy: avoids import cycle
 
-        state = fast_deepcopy(snapshot.state)
+        state = copy.deepcopy(snapshot.state)
         server = BackendServer(
             pipeline=state["_pipeline"],
             simulator=simulator,

@@ -1,18 +1,22 @@
 """Checkpointing: periodic deep-copy snapshots of backend state.
 
-A checkpoint is one :func:`~.fastcopy.fast_deepcopy` of the backend's
-``export_state()`` dict — a single memo pass with deepcopy semantics,
-so objects shared inside the live graph (e.g. a Task sitting in both
-the dispatch queue and the store ledger) stay shared in the copy. The
-copy is cheap by construction: the heavyweight leaves all opt out
-structurally —
+A checkpoint is one ``copy.deepcopy`` of the backend's ``export_state()``
+dict — a single memo pass, so objects shared inside the live graph (e.g.
+a Task sitting in both the dispatch queue and the store ledger) stay
+shared in the copy. Two kinds of object are shared with the live graph
+instead of copied, through ``__deepcopy__`` hooks that return ``self``:
+values that never change after they are built, and live handles.
 
-* telemetry instruments and the tracer copy as themselves (live
-  process-lifetime handles, see ``obs.metrics`` / ``obs.tracing``),
-* the venue and feature world copy as themselves (write-once geometry),
-* the columnar SfM store's append arrays memcpy via numpy,
-* pipeline batch history is trimmed to its last entry for the copy's
-  duration (``SnapTaskPipeline.compact_history``).
+* uploaded photos (:class:`~repro.camera.photo.Photo`) and recovered
+  cameras (:class:`~repro.sfm.model.RecoveredCamera`) — their arrays are
+  read-only, so a write through either graph raises,
+* the venue and feature world (write-once geometry),
+* telemetry instruments and the tracer (live process-lifetime handles,
+  see ``obs.metrics`` / ``obs.tracing``).
+
+The columnar SfM store's append arrays memcpy via numpy, and pipeline
+batch history is trimmed to its last entry for the copy's duration
+(``SnapTaskPipeline.compact_history``).
 
 Snapshot cadence is counted in *committed batches* (the unit of real
 state growth), not sim seconds, so an idle backend takes no
@@ -30,6 +34,7 @@ of that ladder is a full WAL-only replay.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -38,7 +43,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.wallclock import wall_now_s
 from .codec import decode_seal, encode_seal
 from .digest import canonical_state_bytes
-from .fastcopy import fast_deepcopy
 
 __all__ = ["Snapshot", "Snapshotter", "verify_snapshot"]
 
@@ -190,7 +194,7 @@ class Snapshotter:
         """Capture one sealed snapshot of ``server`` at the WAL position."""
         t0 = wall_now_s()
         with server.pipeline.compact_history():
-            state = fast_deepcopy(server.export_state())
+            state = copy.deepcopy(server.export_state())
         snapshot = Snapshot(
             seq=self._next_seq,
             sim_time=sim_time,

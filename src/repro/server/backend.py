@@ -302,8 +302,7 @@ class BackendServer:
             # remnants are dropped after replay.
             self._replay_now = record.t
             self._gc_ledgers()
-            if record.batch_id is not None:
-                self._batch_ledger[record.batch_id] = None
+            self._batch_ledger[record.batch_id] = None
             if record.task_id is not None:
                 self._inflight_batches[record.task_id] = (
                     self._inflight_batches.get(record.task_id, 0) + 1
@@ -465,7 +464,7 @@ class BackendServer:
     def handle_task_request(self, request: TaskRequest) -> TaskAssignment:
         """Assign the next pending task, or report completion.
 
-        Requests carrying a ``request_id`` are idempotent: a duplicate
+        Requests are idempotent on their ``request_id``: a duplicate
         (network-level copy or client retransmission) is answered with
         the original assignment instead of leaking a second lease.
         """
@@ -479,7 +478,7 @@ class BackendServer:
         self._gc_ledgers()
         self._m_requests.inc()
         rid = request.request_id
-        if rid is not None and rid in self._request_ledger:
+        if rid in self._request_ledger:
             self._store.bump("requests_deduped")
             self._m_requests_deduped.inc()
             return self._request_ledger[rid]
@@ -490,15 +489,14 @@ class BackendServer:
             span.set_attr("assigned", assignment.task is not None)
             if assignment.task is not None:
                 span.set_attr("task_id", assignment.task.task_id)
-        if rid is not None:
-            self._request_ledger[rid] = assignment
-            if assignment.task is not None:
-                self._rids_by_task.setdefault(assignment.task.task_id, []).append(rid)
-            else:
-                # No task owns this exchange; retention alone bounds it.
-                self._gc_queue.append(
-                    (self._now() + self._protocol.ledger_retention_s, (rid,), ())
-                )
+        self._request_ledger[rid] = assignment
+        if assignment.task is not None:
+            self._rids_by_task.setdefault(assignment.task.task_id, []).append(rid)
+        else:
+            # No task owns this exchange; retention alone bounds it.
+            self._gc_queue.append(
+                (self._now() + self._protocol.ledger_retention_s, (rid,), ())
+            )
         return assignment
 
     def _next_assignment(self, request: TaskRequest) -> TaskAssignment:
@@ -570,8 +568,8 @@ class BackendServer:
         """Queue SfM processing of an uploaded batch (simulated latency).
 
         ``on_done`` fires when processing completes, carrying the result
-        the server would push back to the client. Batches carrying a
-        ``batch_id`` are idempotent: duplicates of an in-flight batch are
+        the server would push back to the client. Batches are idempotent
+        on their ``batch_id``: duplicates of an in-flight batch are
         dropped, duplicates of a finished batch are re-ACKed from the
         ledger (or, after ledger eviction, from the store archive) — the
         pipeline never processes the same batch twice.
@@ -587,34 +585,33 @@ class BackendServer:
         self._gc_ledgers()
         self._m_batches.inc()
         bid = batch.batch_id
-        if bid is not None:
-            if bid in self._batch_ledger:
-                self._store.bump("batches_deduped")
-                self._m_batches_deduped.inc()
-                prior = self._batch_ledger[bid]
-                if prior is not None and on_done is not None:
-                    on_done(prior)  # replay the lost/raced ACK
-                return
-            archived = self._store.archived_batch(bid)
-            if archived is not None:
-                # The ledger entry was already evicted; answer the late
-                # duplicate from the archive instead of reprocessing.
-                self._store.bump("batches_deduped")
-                self._store.bump("late_duplicates_reacked")
-                self._m_batches_deduped.inc()
-                if on_done is not None:
-                    on_done(
-                        ProcessingResult(
-                            client_id=batch.client_id,
-                            task_id=archived.task_id,
-                            photos_added=archived.photos_added,
-                            coverage_cells=self._pipeline.coverage_cells,
-                            venue_covered=self._pipeline.venue_covered,
-                            batch_id=bid,
-                            error=archived.error,
-                        )
+        if bid in self._batch_ledger:
+            self._store.bump("batches_deduped")
+            self._m_batches_deduped.inc()
+            prior = self._batch_ledger[bid]
+            if prior is not None and on_done is not None:
+                on_done(prior)  # replay the lost/raced ACK
+            return
+        archived = self._store.archived_batch(bid)
+        if archived is not None:
+            # The ledger entry was already evicted; answer the late
+            # duplicate from the archive instead of reprocessing.
+            self._store.bump("batches_deduped")
+            self._store.bump("late_duplicates_reacked")
+            self._m_batches_deduped.inc()
+            if on_done is not None:
+                on_done(
+                    ProcessingResult(
+                        client_id=batch.client_id,
+                        task_id=archived.task_id,
+                        photos_added=archived.photos_added,
+                        coverage_cells=self._pipeline.coverage_cells,
+                        venue_covered=self._pipeline.venue_covered,
+                        batch_id=bid,
+                        error=archived.error,
                     )
-                return
+                )
+            return
         if not batch.photos:
             # A remote client's malformed upload must not crash the event
             # loop: reply with a failure result and requeue the task.
@@ -622,8 +619,6 @@ class BackendServer:
             # arrival is logging the outcome (replay re-runs this path).
             if self._persist is not None:
                 self._persist.log_empty_batch(batch, self._now())
-            if bid is not None:
-                self._batch_ledger[bid] = None
             self._store.bump("empty_batches_rejected")
             self._m_empty_rejected.inc()
             result = ProcessingResult(
@@ -635,9 +630,8 @@ class BackendServer:
                 batch_id=bid,
                 error="empty photo batch upload",
             )
-            if bid is not None:
-                self._batch_ledger[bid] = result
-                self._note_ledgered(bid, batch.task_id)
+            self._batch_ledger[bid] = result
+            self._note_ledgered(bid, batch.task_id)
             if batch.task_id is not None:
                 self._requeue_task(batch.task_id)
             self._result_log.append(result)
@@ -647,8 +641,7 @@ class BackendServer:
         if self._overloaded():
             self._shed(batch, on_done)
             return
-        if bid is not None:
-            self._batch_ledger[bid] = None
+        self._batch_ledger[bid] = None
         arrived_at = self._now()
         if batch.task_id is not None:
             self._inflight_batches[batch.task_id] = (
@@ -838,10 +831,8 @@ class BackendServer:
             self._store.bump("archive_evictions", dropped)
         self._g_archive.set(self._store.archived_batch_count())
 
-    def _note_ledgered(self, bid: Optional[str], task_id: Optional[int]) -> None:
+    def _note_ledgered(self, bid: str, task_id: Optional[int]) -> None:
         """Attach a ledgered batch id to its owning task for later GC."""
-        if bid is None:
-            return
         if task_id is None:
             self._gc_queue.append(
                 (self._now() + self._protocol.ledger_retention_s, (), (bid,))
@@ -1012,9 +1003,8 @@ class BackendServer:
             venue_covered=outcome.venue_covered,
             batch_id=batch.batch_id,
         )
-        if batch.batch_id is not None:
-            self._batch_ledger[batch.batch_id] = result
-            self._note_ledgered(batch.batch_id, batch.task_id)
+        self._batch_ledger[batch.batch_id] = result
+        self._note_ledgered(batch.batch_id, batch.task_id)
         self._result_log.append(result)
         self._maybe_schedule_gc(batch.task_id)
         if self._persist is not None:

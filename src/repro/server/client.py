@@ -244,10 +244,7 @@ class MobileClient:
     def _on_assignment(self, assignment: TaskAssignment) -> None:
         if not self._active:
             return
-        if (
-            assignment.request_id is not None
-            and assignment.request_id != self._pending_request_id
-        ):
+        if assignment.request_id != self._pending_request_id:
             # Duplicate or reordered response to an exchange we already
             # settled; the backend's request ledger kept it idempotent.
             self.stats.stale_responses += 1
@@ -474,27 +471,23 @@ class MobileClient:
                 self.stats.stale_responses += 1
                 self._m_stale.inc()
             return
-        advances_loop = result.batch_id is None  # legacy un-id'd exchange
-        if result.batch_id is not None:
-            if result.batch_id in self._acked_batches:
-                self.stats.duplicate_results += 1
-                self._m_dup_results.inc()
-                return
-            self._acked_batches.add(result.batch_id)
-            if (
-                self._pending_batch is not None
-                and result.batch_id == self._pending_batch.batch_id
-            ):
-                if self._upload_rto is not None:
-                    self._upload_rto.cancel()
-                    self._upload_rto = None
-                self._pending_batch = None
-                self._end_span(
-                    "_upload_span", outcome="ok" if result.ok else "failed"
-                )
-                advances_loop = True
-            # else: a late ACK for a batch we already gave up on — record
-            # the outcome but do not fork a second request loop.
+        if result.batch_id in self._acked_batches:
+            self.stats.duplicate_results += 1
+            self._m_dup_results.inc()
+            return
+        self._acked_batches.add(result.batch_id)
+        # A late ACK for a batch we already gave up on records the
+        # outcome but does not fork a second request loop.
+        advances_loop = (
+            self._pending_batch is not None
+            and result.batch_id == self._pending_batch.batch_id
+        )
+        if advances_loop:
+            if self._upload_rto is not None:
+                self._upload_rto.cancel()
+                self._upload_rto = None
+            self._pending_batch = None
+            self._end_span("_upload_span", outcome="ok" if result.ok else "failed")
         self.stats.results.append(result)
         if result.ok:
             self.stats.tasks_completed += 1

@@ -21,14 +21,14 @@ class TaskRequest:
 
     ``request_id`` makes the exchange idempotent: a retransmitted or
     network-duplicated request with the same id is answered with the
-    original assignment instead of leaking a second task lease.
-    ``None`` (the default) opts out of deduplication, preserving the
-    pre-lease local-call semantics.
+    original assignment instead of leaking a second task lease. Every
+    request carries one; the client mints a fresh id per exchange and
+    reuses it on retransmission.
     """
 
     client_id: str
+    request_id: str
     position: Optional[Vec2] = None
-    request_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,13 @@ class PhotoBatch:
     ``batch_id`` identifies the *logical* batch across retransmissions:
     the backend keeps a dedup ledger keyed on it, so a duplicated or
     retried upload is processed exactly once (and re-ACKed from the
-    ledger). ``None`` opts out of deduplication.
+    ledger). Every batch carries one.
     """
 
     client_id: str
     task_id: Optional[int]
     photos: Tuple[Photo, ...]
-    batch_id: Optional[str] = None
+    batch_id: str
 
 
 @dataclass(frozen=True)

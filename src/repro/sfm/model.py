@@ -34,6 +34,16 @@ class RecoveredCamera:
     n_inliers: int
     observed_feature_ids: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        if self.observed_feature_ids is not None:
+            self.observed_feature_ids.setflags(write=False)
+
+    def __deepcopy__(self, memo: dict) -> "RecoveredCamera":
+        # Frozen, with a read-only array: durability snapshots share it
+        # with the live graph, so identity-keyed caches (the map engine's
+        # wedges) stay valid across snapshot and restore.
+        return self
+
     @property
     def hfov_rad(self) -> float:
         return self.intrinsics.hfov_rad

@@ -447,7 +447,7 @@ class IncrementalSfm:
             pose=pose,
             intrinsics=photo.exif.intrinsics(),
             n_inliers=photo.n_features,
-            observed_feature_ids=photo.feature_ids.copy(),
+            observed_feature_ids=photo.feature_ids,  # read-only, shared
         )
         self._registration_log.append(pid)
         self._new_camera_ids.append(pid)

@@ -60,8 +60,7 @@ def _skip_batch_dedupe():
 
     def factory(original):
         def handle(self, batch, on_done=None):
-            if batch.batch_id is not None:
-                self._batch_ledger.pop(batch.batch_id, None)
+            self._batch_ledger.pop(batch.batch_id, None)
             return original(self, batch, on_done)
 
         return handle

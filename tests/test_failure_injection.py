@@ -113,7 +113,7 @@ class TestBackendOverload:
         for i, center in enumerate([(3, 3), (4, 4), (5, 5)]):
             photos = tuple(sweep(bench, *center))
             server.handle_photo_batch(
-                PhotoBatch(f"c{i}", None, photos),
+                PhotoBatch(f"c{i}", None, photos, batch_id=f"c{i}:b1"),
                 on_done=lambda result, i=i: order.append(i),
             )
         sim.run()

@@ -17,7 +17,7 @@ import pytest
 from repro.camera import GALAXY_S7
 from repro.config import FaultConfig, NetworkConfig, ProtocolConfig
 from repro.core import TaskFactory
-from repro.errors import ReconstructionError, SimulationError
+from repro.errors import SimulationError
 from repro.geometry import Vec2
 from repro.server import (
     BackendServer,
@@ -270,23 +270,6 @@ class TestIdempotentUploads:
         assert pipeline.iteration == 1
         assert len(results) == 2
         assert results[0] is results[1]
-
-    def test_unidentified_batches_keep_legacy_semantics(self, bench):
-        """No ``batch_id`` means no dedup — the pre-PR duplicate hazard.
-
-        Both copies are scheduled for processing and the second crashes
-        the SfM pipeline on duplicate photo ids: exactly the failure mode
-        that batch identifiers eliminate.
-        """
-        sim, pipeline, server = self.make_server(bench)
-        photos = tuple(bench.capture.sweep(Vec2(3, 3), GALAXY_S7, 8.0, blur=0.0))
-        server.handle_photo_batch(PhotoBatch("c0", None, photos))
-        server.handle_photo_batch(PhotoBatch("c0", None, photos))
-        assert server.store.counter("batches_deduped") == 0
-        with pytest.raises(ReconstructionError, match="already added"):
-            sim.run()
-        # Both copies entered the pipeline; only the first registered photos.
-        assert pipeline.iteration == 2
 
     def test_empty_batch_gets_failure_reply_not_crash(self, bench):
         sim, _pipeline, server = self.make_server(bench)

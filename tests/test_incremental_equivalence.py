@@ -81,9 +81,10 @@ def assert_wedges_exact(engine, max_range=5.0):
     """
     obstacle_mask = engine.maps().obstacles.nonzero_mask()
     for photo_id, entry in engine._cameras.items():  # noqa: SLF001
-        x, y, yaw, hfov = entry.key
+        pose = entry.camera.pose
         fresh = camera_visible_cells(
-            engine.spec, obstacle_mask, x, y, yaw, hfov, max_range,
+            engine.spec, obstacle_mask, pose.position.x, pose.position.y,
+            pose.yaw_rad, entry.camera.hfov_rad, max_range,
             ray_ranges_m=entry.ranges,
         )
         np.testing.assert_array_equal(

@@ -37,7 +37,6 @@ from repro.persist.codec import decode_body, iter_frames
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 opt_float = st.none() | finite
-opt_text = st.none() | st.text(max_size=40)
 opt_int = st.none() | st.integers(-(2**40), 2**40)
 ident = st.text(max_size=20)
 
@@ -46,25 +45,25 @@ RECORD_STRATEGIES = st.one_of(
         GrantRecord,
         t=finite,
         client_id=ident,
-        request_id=opt_text,
+        request_id=ident,
         position_x=opt_float,
         position_y=opt_float,
     ),
-    st.builds(AdmitRecord, t=finite, batch_id=opt_text, task_id=opt_int, seq=opt_int),
+    st.builds(AdmitRecord, t=finite, batch_id=ident, task_id=opt_int, seq=opt_int),
     st.builds(
         BatchRecord,
         arrived_t=finite,
         done_t=finite,
         client_id=ident,
         task_id=opt_int,
-        batch_id=opt_text,
+        batch_id=ident,
         photos_blob=st.binary(max_size=200),
         seq=opt_int,
         wait_s=opt_float,
         service_s=opt_float,
     ),
     st.builds(
-        EmptyBatchRecord, t=finite, client_id=ident, task_id=opt_int, batch_id=opt_text
+        EmptyBatchRecord, t=finite, client_id=ident, task_id=opt_int, batch_id=ident
     ),
     st.builds(ReapRecord, t=finite, task_id=st.integers(0, 2**31)),
     st.builds(LocateRecord, t=finite, query_count=st.integers(0, 2**40)),

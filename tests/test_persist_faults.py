@@ -25,6 +25,7 @@ The tentpole robustness contract, pinned at every layer:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -43,7 +44,6 @@ from repro.persist import (
     WriteAheadLog,
     verify_snapshot,
 )
-from repro.persist.fastcopy import fast_deepcopy
 from repro.simkit.rng import RngStream
 from repro.testkit import Scenario, run_scenario
 from repro.testkit.mutations import storage_probe
@@ -78,7 +78,7 @@ def _fork_store(host) -> Snapshotter:
         host.wal, every_batches=source.every_batches, retain=source.retain
     )
     store._snapshots = [
-        replace(snap, state=fast_deepcopy(snap.state))
+        replace(snap, state=copy.deepcopy(snap.state))
         for snap in reversed(source.generations())
     ]
     store._next_seq = source.taken
@@ -88,7 +88,7 @@ def _fork_store(host) -> Snapshotter:
 def _journal() -> WriteAheadLog:
     wal = WriteAheadLog()
     for i in range(6):
-        wal.append(GrantRecord(t=float(i), client_id=f"c-{i}", request_id=None,
+        wal.append(GrantRecord(t=float(i), client_id=f"c-{i}", request_id=f"c-{i}:r1",
                                position_x=None, position_y=None))
     wal.append(LocateRecord(t=9.0, query_count=4))
     return wal

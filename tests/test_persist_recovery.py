@@ -9,10 +9,11 @@ DESIGN.md §10's recovered-state contract, pinned at deployment scale:
 * every recovery's double-restore digest audit matches;
 * a crash landing exactly at a lease-expiry instant neither loses nor
   double-fires the reap (the simulator timer fencing satellite);
-* an ``IncrementalMapEngine`` copied mid-replay, by ``copy.deepcopy``
-  or by the checkpoint's ``fast_deepcopy``, stays cell-exact against the
-  from-scratch oracle and independent of its original (the deepcopy
-  regression that once silently corrupted coverage after every restore).
+* an ``IncrementalMapEngine`` copied mid-replay by ``copy.deepcopy``
+  stays cell-exact against the from-scratch oracle, independent of its
+  original (the deepcopy regression that once silently corrupted
+  coverage after every restore), and reuses the same cached wedges the
+  original does (the cameras it keys them on copy as themselves).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from repro.mapping import GridSpec, IncrementalMapEngine
 from repro.persist import AdmitRecord, BatchRecord, ReapRecord, RecoveryManager
-from repro.persist.fastcopy import fast_deepcopy
 from repro.sfm import PointCloud, SfmModel
 from repro.testkit import Scenario, run_scenario
 from tests.test_incremental_equivalence import assert_cell_exact, make_camera
@@ -258,8 +258,9 @@ class TestSnapshotAliasing:
     def test_copies_replay_exactly_and_independently(self):
         """The snapshot regression, by behaviour: an engine copied
         mid-replay must keep matching the from-scratch oracle on the
-        remaining batches, and updating a copy must leave the original
-        untouched."""
+        remaining batches, updating the copy must leave the original
+        untouched, and the copy must reuse exactly the wedges the
+        original reuses on the same models."""
         spec = GridSpec(0.0, 0.0, 0.25, 40, 56)
         site = np.ones(spec.shape, dtype=bool)
         site[:, :6] = False
@@ -270,16 +271,24 @@ class TestSnapshotAliasing:
         before = engine.maps()
         covered_before = engine.covered_cells
 
-        for clone in (copy.deepcopy(engine), fast_deepcopy(engine)):
-            for model in models[4:]:
-                assert_cell_exact(clone.update(model), model, spec, site_mask=site)
-            np.testing.assert_array_equal(
-                engine.maps().obstacles.data, before.obstacles.data
-            )
-            np.testing.assert_array_equal(
-                engine.maps().visibility.data, before.visibility.data
-            )
-            assert engine.covered_cells == covered_before
-
+        clone = copy.deepcopy(engine)
+        clone_counts = []
         for model in models[4:]:
-            assert_cell_exact(engine.update(model), model, spec, site_mask=site)
+            update = clone.update(model)
+            assert_cell_exact(update, model, spec, site_mask=site)
+            clone_counts.append(replace(update, maps=None))
+        np.testing.assert_array_equal(
+            engine.maps().obstacles.data, before.obstacles.data
+        )
+        np.testing.assert_array_equal(
+            engine.maps().visibility.data, before.visibility.data
+        )
+        assert engine.covered_cells == covered_before
+
+        counts = []
+        for model in models[4:]:
+            update = engine.update(model)
+            assert_cell_exact(update, model, spec, site_mask=site)
+            counts.append(replace(update, maps=None))
+        assert clone_counts == counts
+        assert counts[0].cameras_reused > 0

@@ -66,7 +66,7 @@ class TestBackendServer:
 
     def test_task_request_empty_queue(self, bench):
         _sim, _pipeline, server = self.make_server(bench)
-        assignment = server.handle_task_request(TaskRequest("c0"))
+        assignment = server.handle_task_request(TaskRequest("c0", request_id="c0:r1"))
         assert assignment.task is None
         assert not assignment.venue_covered
 
@@ -75,14 +75,14 @@ class TestBackendServer:
         photos = tuple(bench.capture.sweep(Vec2(3, 3), GALAXY_S7, 8.0, blur=0.0))
         results = []
         server.handle_photo_batch(
-            PhotoBatch("c0", None, photos), on_done=results.append
+            PhotoBatch("c0", None, photos, batch_id="c0:b1"), on_done=results.append
         )
         assert pipeline.iteration == 0  # processing is queued, not immediate
         sim.run()
         assert pipeline.iteration == 1
         assert results and results[0].photos_added
         # Growth queued a follow-up task for the next requester.
-        assignment = server.handle_task_request(TaskRequest("c1"))
+        assignment = server.handle_task_request(TaskRequest("c1", request_id="c1:r1"))
         assert assignment.task is not None
         assert server.store.assignee_of(assignment.task.task_id) == "c1"
 
@@ -92,7 +92,9 @@ class TestBackendServer:
         # every other connected client.
         _sim, _pipeline, server = self.make_server(bench)
         results = []
-        server.handle_photo_batch(PhotoBatch("c0", None, ()), on_done=results.append)
+        server.handle_photo_batch(
+            PhotoBatch("c0", None, (), batch_id="c0:b1"), on_done=results.append
+        )
         assert len(results) == 1
         assert not results[0].ok
         assert not results[0].photos_added
@@ -101,7 +103,7 @@ class TestBackendServer:
     def test_processing_time_scales_with_batch(self, bench):
         sim, _pipeline, server = self.make_server(bench)
         photos = tuple(bench.capture.sweep(Vec2(3, 3), GALAXY_S7, 8.0, blur=0.0))
-        server.handle_photo_batch(PhotoBatch("c0", None, photos))
+        server.handle_photo_batch(PhotoBatch("c0", None, photos, batch_id="c0:b1"))
         sim.run()
         from repro.server import PROCESSING_S_PER_PHOTO
 
