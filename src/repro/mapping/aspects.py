@@ -109,8 +109,9 @@ def calculate_aspect_coverage(
     grid_x = np.broadcast_to(centre_x, spec.shape)
     grid_y = np.broadcast_to(centre_y[:, None], spec.shape)
 
-    for camera in cameras if cameras is not None else model.cameras:
-        ranges = sector_information_ranges(camera, ids_sorted, xy_sorted, max_range_m)
+    cameras = list(cameras if cameras is not None else model.cameras)
+    all_ranges = sector_information_ranges(cameras, ids_sorted, xy_sorted, max_range_m)
+    for camera, ranges in zip(cameras, all_ranges):
         visible = camera_visible_cells(
             spec,
             obstacle_mask,

@@ -20,14 +20,17 @@ grows. This engine maintains the same three artefacts by delta:
   indices, keyed by the camera object (a frozen
   :class:`~repro.sfm.model.RecoveredCamera`, which copies as itself) and
   its per-sector information-clip ranges. A cached wedge is recomputed
-  only when (a) a cell whose
-  occupancy flipped lies inside it, or (b) the camera observed a cloud
-  feature that changed (:meth:`SfmModel.cameras_observing`), *and* the
-  recomputed clip ranges actually differ. Rule (a) is exact: a ray stops
-  at its first obstacle and that cell is in the wedge, so a flip outside
-  the wedge cannot change any ray. Everything else is reused verbatim.
-  The engine keeps no observer index of its own, so its cache stays a
-  function of the models it is handed.
+  only when (a) a cell whose occupancy flipped lies inside it, or (b)
+  the camera observed a cloud feature that changed
+  (:meth:`SfmModel.cameras_observing`), *and* the recomputed clip ranges
+  actually differ. Rule (a) is exact: a ray stops at its first obstacle
+  and that cell is in the wedge, so a flip outside the wedge cannot
+  change any ray. Everything else is reused verbatim. The engine keeps
+  no observer index of its own, so its cache stays a function of the
+  models it is handed. Each update works per update, not per camera: it
+  classifies every camera first, computes the clip ranges of all that
+  need them in one pass, and runs rule (a)'s exact test only for cameras
+  within reach of a flipped cell.
 * **Coverage** — the covered-cell union (optionally restricted to a site
   mask) is maintained over the dirty region only; no full grid scans.
 
@@ -38,7 +41,7 @@ invariant, enforced by the differential oracle in
 ``tests/test_incremental_equivalence.py``. The arithmetic that makes it
 hold: visibility counts are small integers stored in floats (order-free
 addition/subtraction of 1.0 is exact), obstacle counts are integer sums,
-and both paths share one leaf-descent rule (:meth:`OctoMap.leaf_center`)
+and both paths share one leaf-descent rule (:meth:`OctoMap.leaf_centers`)
 and one ray-marching routine.
 """
 
@@ -51,7 +54,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import MappingError
-from ..geometry import Vec2
 from ..obs import MetricsRegistry, Telemetry
 from ..sfm.model import RecoveredCamera, SfmModel
 from ..sfm.pointcloud import PointCloud
@@ -63,6 +65,9 @@ from .visibility import sector_information_ranges, visible_cell_indices
 
 #: A cloud delta: feature ids and their (N, 3) positions.
 _Points = Tuple[np.ndarray, np.ndarray]
+
+#: (camera, flipped cell) pairs per block of the flip prefilter.
+_PAIR_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,24 @@ class MapUpdate:
 
 
 class _CameraEntry:
-    """Cached wedge of one registered camera."""
+    """Cached wedge of one registered camera.
+
+    Never written after it is built (a refresh caches a new entry), and
+    its arrays are read-only, so durability snapshots share it with the
+    live graph, as they share the camera it holds.
+    """
 
     __slots__ = ("camera", "ranges", "cells")
 
     def __init__(self, camera, ranges, cells):
+        ranges.setflags(write=False)
+        cells.setflags(write=False)
         self.camera = camera  # the frozen camera the wedge was cast for
         self.ranges = ranges  # per-sector info-clip ranges
         self.cells = cells  # sorted flat cell indices of the wedge
+
+    def __deepcopy__(self, memo: dict) -> "_CameraEntry":
+        return self
 
 
 class IncrementalMapEngine:
@@ -247,18 +262,17 @@ class IncrementalMapEngine:
         uses.
         """
         counts = self._counts.reshape(-1)
-        touched: List[int] = []
+        touched = np.zeros(counts.size, dtype=bool)
         for step, (_ids, xyz) in ((-1, removed), (1, added)):
-            for x, y, z in xyz.tolist():
-                leaf = self._lattice.leaf_center(x, y, z)
-                if leaf is None or not self._z_min <= leaf[2] <= self._z_max:
-                    continue  # outside the cube or the vertical band
-                cell = self._spec.cell_of(Vec2(leaf[0], leaf[1]))
-                if cell is not None:
-                    flat = cell[0] * self._spec.n_cols + cell[1]
-                    counts[flat] += step
-                    touched.append(flat)
-        return np.unique(np.array(touched, dtype=np.int64))
+            leaves, inside = self._lattice.leaf_centers(xyz)
+            z = leaves[:, 2]
+            in_band = inside & (z >= self._z_min) & (z <= self._z_max)
+            cells = self._spec.cells_of(leaves[in_band, :2])
+            cells = cells[cells[:, 0] >= 0]
+            flat = cells[:, 0] * self._spec.n_cols + cells[:, 1]
+            np.add.at(counts, flat, step)
+            touched[flat] = True
+        return np.flatnonzero(touched)
 
     def _remerge_columns(self, dirty: np.ndarray) -> np.ndarray:
         """Re-threshold only the dirtied cells; return occupancy-flipped cells."""
@@ -286,51 +300,90 @@ class IncrementalMapEngine:
         for photo_id in [pid for pid in self._cameras if pid not in current_ids]:
             self._retire_camera(photo_id)
 
-        # (a) obstacle rule: a ray stops at its first obstacle and that
-        # cell is in the wedge, so an occupancy flip can change a wedge
-        # only if the flipped cell lies inside it.
-        is_flipped = np.zeros(self._obst_mask.size, dtype=bool)
-        is_flipped[flipped] = True
-
         # (b) information rule: cameras that observed a changed cloud
         # feature may have different clip ranges.
         range_stale = set(
             model.cameras_observing(np.concatenate([added[0], removed[0]])).tolist()
         )
 
+        # Classify every camera first. A new or replaced camera (a new
+        # camera object, whose pose, intrinsics or observations may
+        # differ) needs clip ranges and a wedge; a cached one needs its
+        # ranges rechecked if range-stale, and the flip test if it stands
+        # near a flipped cell. All clip ranges then come from one pass.
+        cameras = model.cameras
+        entries = [self._cameras.get(camera.photo_id) for camera in cameras]
+        cached = [e is not None and e.camera is c for c, e in zip(cameras, entries)]
+        clip = [
+            c for c, hit in zip(cameras, cached) if not hit or c.photo_id in range_stale
+        ]
+        ranges = iter(
+            sector_information_ranges(clip, self._ids, self._xyz[:, :2], self._max_range)
+        )
+        kept = [c for c, hit in zip(cameras, cached) if hit]
+        near = iter(self._near_flips(kept, flipped))
+        # (a) obstacle rule: a ray stops at its first obstacle and that
+        # cell is in the wedge, so an occupancy flip can change a wedge
+        # only if the flipped cell lies inside it.
+        is_flipped = np.zeros(self._obst_mask.size, dtype=bool)
+        is_flipped[flipped] = True
+
         refreshed = 0
         reused = 0
         n_new = 0
-        for camera in model.cameras:
-            entry = self._cameras.get(camera.photo_id)
-            if entry is None:
-                self._admit_camera(camera)
-                n_new += 1
+        for camera, entry, is_cached in zip(cameras, entries, cached):
+            if not is_cached:
+                if entry is None:
+                    n_new += 1
+                else:
+                    self._retire_camera(camera.photo_id)
+                    refreshed += 1
+                self._admit_camera(camera, next(ranges).copy())
                 continue
-            if entry.camera is not camera:
-                # A new camera object (pose, intrinsics or observations
-                # may differ): full refresh.
-                self._retire_camera(camera.photo_id)
-                self._admit_camera(camera)
-                refreshed += 1
-                continue
-            needs_mask = flipped.size > 0 and bool(is_flipped[entry.cells].any())
+            near_flip = next(near)
+            new_ranges = entry.ranges
             if camera.photo_id in range_stale:
-                ranges = self._ranges_for(camera)
-                if not np.array_equal(ranges, entry.ranges):
-                    entry.ranges = ranges
-                    needs_mask = True
-            if needs_mask:
-                self._refresh_wedge(camera, entry)
+                row = next(ranges)
+                if not np.array_equal(row, entry.ranges):
+                    new_ranges = row.copy()
+            if new_ranges is not entry.ranges or (
+                near_flip and is_flipped[entry.cells].any()
+            ):
+                self._refresh_wedge(camera, entry, new_ranges)
                 refreshed += 1
             else:
                 reused += 1
         return refreshed, reused, n_new
 
-    def _ranges_for(self, camera):
-        return sector_information_ranges(
-            camera, self._ids, self._xyz[:, :2], self._max_range
-        )
+    def _near_flips(
+        self, cameras: List[RecoveredCamera], flipped: np.ndarray
+    ) -> np.ndarray:
+        """Which ``cameras`` stand close enough to a flipped cell to hold it.
+
+        Every sample of the ray march lies less than ``max_range_m`` plus
+        half a cell from its camera (the last step), and every point of a
+        cell lies within half a cell diagonal of its centre. So no wedge
+        holds a cell whose centre is farther than ``max_range_m`` plus one
+        cell diagonal from its camera. The bound only prefilters: the
+        exact test, ``is_flipped[entry.cells].any()``, still decides.
+        """
+        near = np.zeros(len(cameras), dtype=bool)
+        if not cameras or flipped.size == 0:
+            return near
+        spec = self._spec
+        rows, cols = np.divmod(flipped, spec.n_cols)
+        flip_x = spec.origin_x + (cols + 0.5) * spec.cell_size_m
+        flip_y = spec.origin_y + (rows + 0.5) * spec.cell_size_m
+        reach = self._max_range + spec.cell_size_m * math.sqrt(2.0)
+        cam_x = np.array([camera.pose.position.x for camera in cameras])
+        cam_y = np.array([camera.pose.position.y for camera in cameras])
+        # A few hundred kilobytes of pairwise distances at a time.
+        step = max(1, _PAIR_BLOCK // len(cameras))
+        for start in range(0, flipped.size, step):
+            dx = cam_x[:, None] - flip_x[None, start : start + step]
+            dy = cam_y[:, None] - flip_y[None, start : start + step]
+            near |= (dx * dx + dy * dy <= reach * reach).any(axis=1)
+        return near
 
     def _wedge_cells(self, camera: RecoveredCamera, ranges) -> np.ndarray:
         return visible_cell_indices(
@@ -344,8 +397,7 @@ class IncrementalMapEngine:
             ray_ranges_m=ranges,
         )
 
-    def _admit_camera(self, camera) -> None:
-        ranges = self._ranges_for(camera)
+    def _admit_camera(self, camera, ranges) -> None:
         cells = self._wedge_cells(camera, ranges)
         self._vis.reshape(-1)[cells] += 1.0
         self._cov_dirty.append(cells)
@@ -356,21 +408,26 @@ class IncrementalMapEngine:
         self._vis.reshape(-1)[entry.cells] -= 1.0
         self._cov_dirty.append(entry.cells)
 
-    def _refresh_wedge(self, camera, entry: _CameraEntry) -> None:
-        new_cells = self._wedge_cells(camera, entry.ranges)
+    def _refresh_wedge(self, camera, entry: _CameraEntry, ranges) -> None:
+        new_cells = self._wedge_cells(camera, ranges)
         if np.array_equal(new_cells, entry.cells):
-            return
-        vis = self._vis.reshape(-1)
-        vis[entry.cells] -= 1.0
-        vis[new_cells] += 1.0
-        self._cov_dirty += [entry.cells, new_cells]
-        entry.cells = new_cells
+            new_cells = entry.cells
+        else:
+            vis = self._vis.reshape(-1)
+            vis[entry.cells] -= 1.0
+            vis[new_cells] += 1.0
+            self._cov_dirty += [entry.cells, new_cells]
+        self._cameras[camera.photo_id] = _CameraEntry(camera, ranges, new_cells)
 
     # -- coverage: dirty-region union maintenance --------------------------------
 
     def _update_coverage(self, flipped: np.ndarray) -> None:
-        idx = np.unique(np.concatenate([flipped, *self._cov_dirty]))
+        dirty = np.zeros(self._covered.size, dtype=bool)
+        dirty[flipped] = True
+        for cells in self._cov_dirty:
+            dirty[cells] = True
         self._cov_dirty.clear()
+        idx = np.flatnonzero(dirty)
         obst, vis = self._obst.reshape(-1), self._vis.reshape(-1)
         covered = (obst[idx] > 0.0) | (vis[idx] > 0.0)
         if self._site_mask is not None:

@@ -6,13 +6,15 @@ updates — SnapTask only inserts triangulated points and counts them),
 subdividing space down to a configurable leaf resolution. Algorithm 2
 reads nothing but leaf counts, so only the leaf level is stored: one
 count per occupied leaf, keyed by the leaf centre that the octree's
-midpoint descent (:meth:`OctoMap.leaf_center`) assigns a point to.
+midpoint descent assigns a point to. :meth:`OctoMap.leaf_centers` is that
+descent, run on columns of points; it is the one placement rule of the
+obstacles map, from scratch and incremental alike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -53,47 +55,40 @@ class OctoMap:
     def n_points(self) -> int:
         return self._n_points
 
-    def leaf_center(
-        self, x: float, y: float, z: float
-    ) -> Optional[Tuple[float, float, float]]:
-        """Centre of the leaf containing (x, y, z); ``None`` outside the cube.
+    def leaf_centers(self, xyz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Leaf centres of (N, 3) points, and which points are in the cube.
 
-        The octree's descent rule, run from the root down to the leaf
-        depth: a coordinate on a node's midpoint goes to the upper child
-        (``>=``), and each child centre is its parent's centre ± a
-        quarter of the parent's side. The bounds are closed, so a point
-        on the cube's maximum face lands in the last leaf; NaN is outside.
-        Both the from-scratch obstacles map and the incremental engine
-        place points with this one rule.
+        The octree's descent rule, run on columns from the root down to
+        the leaf depth: a coordinate on a node's midpoint goes to the
+        upper child (``>=``), and each child centre is its parent's
+        centre ± a quarter of the parent's side. The bounds are closed,
+        so a point on the cube's maximum face lands in the last leaf; NaN
+        is outside. The centre rows of outside points carry no meaning.
+        This is the one descent rule: the from-scratch obstacles map and
+        the incremental engine both place points with it.
         """
-        cx, cy, cz = self._center
+        xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
+        centre = np.array(self._center)
         half = self._half
-        if not (abs(x - cx) <= half and abs(y - cy) <= half and abs(z - cz) <= half):
-            return None
+        inside = (np.abs(xyz - centre) <= half).all(axis=1)
+        centres = np.broadcast_to(centre, xyz.shape).copy()
         for _ in range(self._max_depth):
             quarter = half / 2.0
-            cx += quarter if x >= cx else -quarter
-            cy += quarter if y >= cy else -quarter
-            cz += quarter if z >= cz else -quarter
+            centres += np.where(xyz >= centres, quarter, -quarter)
             half = quarter
-        return (cx, cy, cz)
+        return centres, inside
 
     def insert(self, x: float, y: float, z: float) -> bool:
         """Insert one point; returns False if outside the octree bounds."""
-        leaf = self.leaf_center(x, y, z)
-        if leaf is None:
-            return False
-        self._leaves[leaf] = self._leaves.get(leaf, 0) + 1
-        self._n_points += 1
-        return True
+        return self.insert_array(np.array([[x, y, z]], dtype=float)) == 1
 
     def insert_array(self, xyz: np.ndarray) -> int:
         """Insert (N, 3) points; returns how many fell inside the bounds."""
-        xyz = np.asarray(xyz, dtype=float).reshape(-1, 3)
-        inserted = 0
-        for x, y, z in xyz:
-            if self.insert(float(x), float(y), float(z)):
-                inserted += 1
+        centres, inside = self.leaf_centers(xyz)
+        for leaf in map(tuple, centres[inside].tolist()):
+            self._leaves[leaf] = self._leaves.get(leaf, 0) + 1
+        inserted = int(inside.sum())
+        self._n_points += inserted
         return inserted
 
     def leaves(self) -> Iterator[Tuple[float, float, float, int]]:
@@ -103,7 +98,8 @@ class OctoMap:
 
     def count_at(self, x: float, y: float, z: float) -> int:
         """Point count in the leaf containing (x, y, z)."""
-        return self._leaves.get(self.leaf_center(x, y, z), 0)
+        centres, inside = self.leaf_centers(np.array([[x, y, z]], dtype=float))
+        return self._leaves.get(tuple(centres[0].tolist()), 0) if inside[0] else 0
 
     def merge_columns(
         self, z_min: float = -math.inf, z_max: float = math.inf

@@ -25,7 +25,7 @@ Each camera's FOV wedge is therefore clipped twice:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,11 @@ MIN_INFO_RANGE_M = 0.3
 #: The wedge extends this far beyond the farthest observed point, so the
 #: surface the point sits on is itself covered.
 INFO_MARGIN_M = 1.0
+
+#: Observation rows per block of :func:`sector_information_ranges`: the
+#: block's float temporaries stay a few hundred kilobytes however many
+#: cameras one map update re-clips.
+_RANGE_BLOCK_ROWS = 8192
 
 
 def camera_visible_cells(
@@ -110,76 +115,108 @@ def visible_cell_indices(
     ys = position_y + np.sin(angles).reshape(-1, 1) * radii
     within = radii <= limits  # (R, S)
 
-    cols = np.floor((xs - spec.origin_x) / cell).astype(int)
-    rows = np.floor((ys - spec.origin_y) / cell).astype(int)
-    in_bounds = (rows >= 0) & (rows < spec.n_rows) & (cols >= 0) & (cols < spec.n_cols)
+    cols = np.floor((xs - spec.origin_x) / cell).astype(np.int64)
+    rows = np.floor((ys - spec.origin_y) / cell).astype(np.int64)
+    # Viewed unsigned, a negative index is huge: one compare per axis.
+    in_bounds = (rows.view(np.uint64) < spec.n_rows) & (
+        cols.view(np.uint64) < spec.n_cols
+    )
     flat = rows * spec.n_cols + cols
-    blocked = obstacle_mask.reshape(-1)[np.where(in_bounds, flat, 0)] & in_bounds
+    blocked = obstacle_mask.reshape(-1).take(flat, mode="clip") & in_bounds
 
     # A step is visible up to and including its ray's first blocked step;
     # the blocking obstacle cell itself is visible (you can see the wall).
     first_block = np.where(blocked.any(axis=1), blocked.argmax(axis=1), n_steps)
-    cells = flat[in_bounds & within & (np.arange(n_steps) <= first_block[:, None])]
+    seen = np.zeros(spec.n_rows * spec.n_cols, dtype=bool)
+    seen[flat[in_bounds & within & (np.arange(n_steps) <= first_block[:, None])]] = True
 
     # The camera's own cell is covered if it is in bounds.
     col0 = int(math.floor((position_x - spec.origin_x) / cell))
     row0 = int(math.floor((position_y - spec.origin_y) / cell))
     if 0 <= row0 < spec.n_rows and 0 <= col0 < spec.n_cols:
-        cells = np.append(cells, row0 * spec.n_cols + col0)
-    # Sort, then drop repeats: numpy 2's np.unique hashes integer input,
-    # which is several times slower on arrays of this size.
-    cells.sort()
-    first = np.ones(cells.size, dtype=bool)
-    first[1:] = cells[1:] != cells[:-1]
-    return cells[first]
+        seen[row0 * spec.n_cols + col0] = True
+    # Marking a grid drops repeated samples without a sort.
+    return np.flatnonzero(seen)
 
 
 def sector_information_ranges(
-    camera: RecoveredCamera,
+    cameras: Sequence[RecoveredCamera],
     cloud_ids_sorted: np.ndarray,
     cloud_xy_sorted: np.ndarray,
     max_range_m: float,
     n_sectors: int = _N_SECTORS,
 ) -> np.ndarray:
-    """Per-sector wedge range from the camera's triangulated observations.
+    """Per-sector wedge ranges of ``cameras`` from their observations.
 
-    Sector k spans an equal slice of the FOV; its range is the distance of
-    the farthest triangulated point the camera observed in that slice,
-    plus :data:`INFO_MARGIN_M`, clipped to ``max_range_m``. Sectors with
-    no observed points keep only :data:`MIN_INFO_RANGE_M`.
+    Row c holds camera c's ranges. Sector k spans an equal slice of the
+    FOV; its range is the distance of the farthest triangulated point the
+    camera observed in that slice, plus :data:`INFO_MARGIN_M`, clipped to
+    ``max_range_m``. Sectors with no observed points keep only
+    :data:`MIN_INFO_RANGE_M`; a camera without observations
+    (``observed_feature_ids`` is ``None``) is unclipped.
 
     ``cloud_ids_sorted`` / ``cloud_xy_sorted`` are the triangulated cloud's
-    feature ids (sorted) and matching floor positions.
+    feature ids (sorted) and matching floor positions. All cameras'
+    observations go through one pass, :data:`_RANGE_BLOCK_ROWS` rows at a
+    time, with each row's arithmetic that of a one-camera pass, so the
+    maxima are the same.
     """
-    observed = camera.observed_feature_ids
-    if observed is None:
-        return np.full(n_sectors, max_range_m)
-    ranges = np.full(n_sectors, MIN_INFO_RANGE_M)
-    obs = np.asarray(observed, dtype=int)
-    if obs.size == 0 or cloud_ids_sorted.size == 0:
+    ranges = np.full((len(cameras), n_sectors), MIN_INFO_RANGE_M)
+    for c, camera in enumerate(cameras):
+        if camera.observed_feature_ids is None:
+            ranges[c] = max_range_m
+    if cloud_ids_sorted.size == 0:
         return ranges
-    pos = np.searchsorted(cloud_ids_sorted, obs)
-    pos = np.minimum(pos, cloud_ids_sorted.size - 1)
-    matched = cloud_ids_sorted[pos] == obs
-    if not matched.any():
-        return ranges
-    pts = cloud_xy_sorted[pos[matched]]
+    px = np.array([camera.pose.position.x for camera in cameras])
+    py = np.array([camera.pose.position.y for camera in cameras])
+    yaw = np.array([camera.pose.yaw_rad for camera in cameras])
+    half = np.array([camera.hfov_rad for camera in cameras]) / 2.0
+    flat_ranges = ranges.reshape(-1)
+    for cam, obs in _observation_blocks(cameras):
+        pos = np.searchsorted(cloud_ids_sorted, obs)
+        pos = np.minimum(pos, cloud_ids_sorted.size - 1)
+        matched = cloud_ids_sorted[pos] == obs
+        pts = cloud_xy_sorted[pos[matched]]
+        cam = cam[matched]
 
-    half = camera.hfov_rad / 2.0
-    dx = pts[:, 0] - camera.pose.position.x
-    dy = pts[:, 1] - camera.pose.position.y
-    bearing = np.arctan2(dy, dx) - camera.pose.yaw_rad
-    bearing = (bearing + np.pi) % (2.0 * np.pi) - np.pi
-    in_fov = np.abs(bearing) <= half
-    if not in_fov.any():
-        return ranges
-    sectors = np.minimum(
-        n_sectors - 1,
-        ((bearing[in_fov] + half) / (2.0 * half) * n_sectors).astype(int),
-    )
-    dists = np.minimum(max_range_m, np.hypot(dx[in_fov], dy[in_fov]) + INFO_MARGIN_M)
-    np.maximum.at(ranges, sectors, dists)
+        cam_half = half[cam]
+        dx = pts[:, 0] - px[cam]
+        dy = pts[:, 1] - py[cam]
+        bearing = np.arctan2(dy, dx) - yaw[cam]
+        bearing = (bearing + np.pi) % (2.0 * np.pi) - np.pi
+        in_fov = np.abs(bearing) <= cam_half
+        cam_half = cam_half[in_fov]
+        sectors = np.minimum(
+            n_sectors - 1,
+            ((bearing[in_fov] + cam_half) / (2.0 * cam_half) * n_sectors).astype(int),
+        )
+        dists = np.minimum(max_range_m, np.hypot(dx[in_fov], dy[in_fov]) + INFO_MARGIN_M)
+        np.maximum.at(flat_ranges, cam[in_fov] * n_sectors + sectors, dists)
     return ranges
+
+
+def _observation_blocks(cameras: Sequence[RecoveredCamera]):
+    """(camera index, observed feature id) columns of ``cameras``, in
+    blocks of at most :data:`_RANGE_BLOCK_ROWS` rows; a camera's rows may
+    span two blocks."""
+    owners: List[np.ndarray] = []
+    parts: List[np.ndarray] = []
+    n_rows = 0
+    for c, camera in enumerate(cameras):
+        if camera.observed_feature_ids is None:
+            continue
+        obs = np.asarray(camera.observed_feature_ids, dtype=int)
+        while obs.size:
+            room = _RANGE_BLOCK_ROWS - n_rows
+            part, obs = obs[:room], obs[room:]
+            owners.append(np.full(part.size, c))
+            parts.append(part)
+            n_rows += part.size
+            if n_rows == _RANGE_BLOCK_ROWS:
+                yield np.concatenate(owners), np.concatenate(parts)
+                owners, parts, n_rows = [], [], 0
+    if n_rows:
+        yield np.concatenate(owners), np.concatenate(parts)
 
 
 def calculate_visibility_map(
@@ -202,10 +239,11 @@ def calculate_visibility_map(
     cloud_ids_sorted = cloud.feature_ids[order]
     cloud_xy_sorted = cloud.floor_xy()[order]
 
-    for camera in cameras if cameras is not None else model.cameras:
-        ray_ranges = sector_information_ranges(
-            camera, cloud_ids_sorted, cloud_xy_sorted, max_range_m
-        )
+    cameras = list(cameras if cameras is not None else model.cameras)
+    all_ranges = sector_information_ranges(
+        cameras, cloud_ids_sorted, cloud_xy_sorted, max_range_m
+    )
+    for camera, ray_ranges in zip(cameras, all_ranges):
         cells = visible_cell_indices(
             spec,
             obstacle_mask,

@@ -7,9 +7,10 @@ shared in the copy. Two kinds of object are shared with the live graph
 instead of copied, through ``__deepcopy__`` hooks that return ``self``:
 values that never change after they are built, and live handles.
 
-* uploaded photos (:class:`~repro.camera.photo.Photo`) and recovered
-  cameras (:class:`~repro.sfm.model.RecoveredCamera`) — their arrays are
-  read-only, so a write through either graph raises,
+* uploaded photos (:class:`~repro.camera.photo.Photo`), recovered
+  cameras (:class:`~repro.sfm.model.RecoveredCamera`) and the map
+  engine's cached camera wedges (a refresh caches a new entry) — their
+  arrays are read-only, so a write through either graph raises,
 * the venue and feature world (write-once geometry),
 * telemetry instruments and the tracer (live process-lifetime handles,
   see ``obs.metrics`` / ``obs.tracing``).

@@ -221,6 +221,34 @@ class TestSyntheticDeltas:
         assert updates[0].maps.visibility.data[behind] > 0
         assert updates[1].maps.visibility.data[behind] == 0
 
+    def test_flip_in_the_farthest_wedge_cell_invalidates(self):
+        """The flip prefilter's reach. A wedge cell's centre can lie past
+        ``max_range_m``, by up to half a cell diagonal; a flip in such a
+        cell must still refresh the wedge."""
+        spec = small_spec()
+        cam = RecoveredCamera(
+            photo_id=1, pose=CameraPose.at(3.0, 4.0, 0.0), intrinsics=GALAXY_S7,
+            n_inliers=100, observed_feature_ids=None,
+        )
+        empty = np.zeros(spec.shape, dtype=bool)
+        wedge = np.flatnonzero(
+            camera_visible_cells(spec, empty, 3.0, 4.0, 0.0, cam.hfov_rad, 5.0)
+        )
+        rows, cols = np.divmod(wedge, spec.n_cols)
+        centre_x = spec.origin_x + (cols + 0.5) * spec.cell_size_m
+        centre_y = spec.origin_y + (rows + 0.5) * spec.cell_size_m
+        dist = np.hypot(centre_x - 3.0, centre_y - 4.0)
+        far = int(dist.argmax())
+        assert 5.0 < dist[far] <= 5.0 + spec.cell_size_m / np.sqrt(2.0)
+        column = [
+            CloudPoint(k, float(centre_x[far]), float(centre_y[far]), 0.4 + 0.4 * k, 3)
+            for k in range(5)
+        ]
+        updates = self.check_sequence(spec, [([], [cam]), (column, [cam])])
+        assert updates[1].dirty_obstacle_cells == 1
+        assert updates[1].maps.obstacles.data.reshape(-1)[wedge[far]] > 0
+        assert updates[1].cameras_refreshed == 1
+
     def test_obstacle_vanishing_restores_visibility(self):
         """The inverse: removing a blocking wall re-extends cached rays."""
         spec = small_spec()

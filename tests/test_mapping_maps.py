@@ -207,7 +207,8 @@ class TestVisibilityMap:
         cloud_ids = np.array([1, 2])
         cloud_xy = np.array([[4.0, 5.0], [2.5, 6.0]])
         camera = make_camera(1, 2.0, 5.0, 0.0, observed=np.array([1, 2, 99]))
-        ranges = sector_information_ranges(camera, cloud_ids, cloud_xy, 6.0)
+        ranges = sector_information_ranges([camera], cloud_ids, cloud_xy, 6.0)
+        assert ranges.shape == (1, 9)
         assert ranges.max() > 2.0
         assert ranges.min() >= 0.3
 

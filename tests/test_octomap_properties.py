@@ -1,7 +1,7 @@
 """Property-based OctoMap tests against a brute-force voxel reference.
 
 The from-scratch obstacles map and the incremental engine both place
-points with the octree's leaf descent (``OctoMap.leaf_center``), so its
+points with the octree's leaf descent (``OctoMap.leaf_centers``), so its
 lattice arithmetic is checked here against an independent floor-index
 reference over seeded-random clouds. The test octree (centre 0,
 half-extent 8, resolution 0.25) is chosen so every node centre is exactly
@@ -113,10 +113,10 @@ class TestBoundaryCoordinates:
         """The octree's `>=` descent rule: an exact-edge point belongs to
         the cell whose minimum corner it sits on."""
         tree = make_tree()
-        for b in (-0.25, 0.0, 0.25, 2.5, -4.0):
-            leaf = tree.leaf_center(b, b, b)
-            assert leaf is not None
-            cx, cy, cz = leaf
+        edges = np.array([-0.25, 0.0, 0.25, 2.5, -4.0])
+        leaves, inside = tree.leaf_centers(np.repeat(edges[:, None], 3, axis=1))
+        assert inside.all()
+        for b, (cx, cy, cz) in zip(edges, leaves):
             assert cx == pytest.approx(b + LEAF / 2.0, abs=1e-12)
             assert cy == pytest.approx(b + LEAF / 2.0, abs=1e-12)
             assert cz == pytest.approx(b + LEAF / 2.0, abs=1e-12)
@@ -124,10 +124,9 @@ class TestBoundaryCoordinates:
     def test_extent_faces(self):
         tree = make_tree()
         # The maximum face is inside (closed bounds), landing in the last leaf.
-        leaf = tree.leaf_center(HALF, 0.0, 0.0)
-        assert leaf is not None
-        assert leaf[0] == pytest.approx(HALF - LEAF / 2.0)
-        assert tree.leaf_center(-HALF, 0.0, 0.0) is not None
+        leaves, inside = tree.leaf_centers(np.array([[HALF, 0.0, 0.0], [-HALF, 0.0, 0.0]]))
+        assert inside.all()
+        assert leaves[0, 0] == pytest.approx(HALF - LEAF / 2.0)
 
     def test_out_of_extent_points_rejected(self):
         tree = make_tree()
@@ -171,7 +170,8 @@ class TestSpecAnchoredLattice:
         b = OctoMap.for_spec(spec)
         a.insert(1.0, 1.0, 1.0)
         b.insert_array(np.array([[9.9, 9.9, 2.0], [1.0, 1.0, 1.0]]))
-        assert a.leaf_center(4.4, 5.5, 0.7) == b.leaf_center(4.4, 5.5, 0.7)
+        point = np.array([[4.4, 5.5, 0.7]])
+        np.testing.assert_array_equal(a.leaf_centers(point)[0], b.leaf_centers(point)[0])
 
 
 #: Grids for the engine property. On the 0.25 m lattice every edge value

@@ -11,9 +11,10 @@ real deployment state:
 
 * the copy is independent of the live graph, keeps its in-graph aliasing
   (one ``Task`` in two collections stays one ``Task``) and its size;
-* every ``Photo`` and ``RecoveredCamera`` reachable from a checkpoint is
-  the live object, with read-only arrays, as are the venue, the feature
-  world and the telemetry handles; no ``Task`` is shared;
+* every ``Photo``, ``RecoveredCamera`` and cached map-engine wedge
+  (``_CameraEntry``) reachable from a checkpoint is the live object, with
+  read-only arrays, as are the venue, the feature world and the
+  telemetry handles; no ``Task`` is shared;
 * photos that WAL replay unpickles are read-only too;
 * a restored backend takes its next batch with the same ``MapUpdate``
   counts as the live backend: the map engine keys its cached wedges on
@@ -36,6 +37,7 @@ from repro.camera.photo import Photo
 from repro.config import paper_config
 from repro.core.tasks import Task
 from repro.eval import Workbench
+from repro.mapping.incremental import _CameraEntry
 from repro.obs.metrics import Counter
 from repro.obs.tracing import Tracer
 from repro.persist import BatchRecord, RecoveryManager, Snapshotter, WriteAheadLog
@@ -99,6 +101,8 @@ def tasks_in_two_fields(state):
 def read_only_arrays(obj):
     if isinstance(obj, Photo):
         return (obj.feature_ids, obj.pixels_uv, obj.patch)
+    if isinstance(obj, _CameraEntry):
+        return (obj.ranges, obj.cells)
     return () if obj.observed_feature_ids is None else (obj.observed_feature_ids,)
 
 
@@ -202,6 +206,17 @@ class TestSharing:
         copied = objects(reachable(image, Task), Task)
         assert copied
         assert not copied.keys() & objects(reachable(live, Task), Task).keys()
+
+    def test_cached_wedges_are_the_live_objects(self, checkpointed):
+        assert_live_objects(*checkpointed, (_CameraEntry,))
+
+    def test_cached_wedge_arrays_are_read_only(self, checkpointed):
+        _live, image = checkpointed
+        entries = objects(reachable(image, _CameraEntry), _CameraEntry)
+        for entry in entries.values():
+            for array in read_only_arrays(entry):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = array
 
     def test_shared_arrays_are_read_only(self, checkpointed):
         _live, image = checkpointed
