@@ -83,13 +83,12 @@ def _checkpoint_copy():
     deployment.run(until_s=SIM_HORIZON_S / 2, max_events=250_000)
     server = deployment.server
     kinds = (Photo, RecoveredCamera, Task)
-    with server.pipeline.compact_history():
-        state = server.export_state()
-        t0 = wall_now_s()
-        for _ in range(CHECKPOINT_REPS):
-            image = copy.deepcopy(state)
-        copy_s = (wall_now_s() - t0) / CHECKPOINT_REPS
-        live, copied = reachable(state, kinds), reachable(image, kinds)
+    state = server.export_state()
+    t0 = wall_now_s()
+    for _ in range(CHECKPOINT_REPS):
+        image = copy.deepcopy(state)
+    copy_s = (wall_now_s() - t0) / CHECKPOINT_REPS
+    live, copied = reachable(state, kinds), reachable(image, kinds)
     # The copy must capture the same logical state.
     assert structural_size(image) == structural_size(state)
     ids = {

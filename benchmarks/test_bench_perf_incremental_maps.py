@@ -24,6 +24,7 @@ from repro.mapping import (
     calculate_obstacles_map,
     calculate_visibility_map,
 )
+from tests.test_core_pipeline import recorded_outcomes
 
 from .conftest import write_result
 
@@ -37,8 +38,8 @@ def campaign_history():
     bench = Workbench.for_library()
     pipeline = bench.make_pipeline()
     campaign = bench.make_guided_campaign(pipeline, 10)
-    campaign.run(max_tasks=120)
-    history = pipeline.history
+    with recorded_outcomes() as history:
+        campaign.run(max_tasks=120)
     assert len(history) > LATE_BATCHES + 5, "campaign too short to compare"
     return bench, history
 

@@ -42,15 +42,15 @@ def main() -> None:
         )
 
     store = deployment.server.store
+    pipeline = deployment.pipeline
     print()
     print(f"backend processed photos: {store.counter('photos_processed')}")
-    print(f"map snapshots stored:     {len(store.snapshot_history())}")
+    print(f"batches processed:        {pipeline.iteration}")
     print(f"task ledger:              {store.tasks_by_status()}")
-    final = store.latest_maps()
-    if final is not None:
+    if pipeline.iteration:
         region = bench.ground_truth.region_cells
         covered = int(
-            (final.maps.covered_mask() & bench.ground_truth.region_mask).sum()
+            (pipeline.maps.covered_mask() & bench.ground_truth.region_mask).sum()
         )
         print(f"final coverage:           {100.0 * covered / region:.2f}% of the venue")
 

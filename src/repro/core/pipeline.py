@@ -18,13 +18,13 @@
     17:   else if triedAtLocation(L) > TT: T <= generateAnnotationTask(L)
 
 This module keeps the pipeline state across iterations: the incremental
-SfM engine, the current maps, the scalar coverage C, and the per-location
-attempt counters that drive annotation-task escalation.
+SfM engine, the last batch's outcome (which holds the current maps), the
+scalar coverage C, and the per-location attempt counters that drive
+annotation-task escalation. Past outcomes are not kept.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -119,11 +119,10 @@ class SnapTaskPipeline:
         self._factory = TaskFactory()
         self._iteration = 0
         self._coverage_cells = 0
-        self._maps: Optional[CoverageMaps] = None
+        self._last: Optional[BatchOutcome] = None
         self._attempts: Dict[Tuple[int, int], int] = {}
         self._annotated_keys: Dict[Tuple[int, int], int] = {}
         self._written_off = np.zeros(spec.shape, dtype=bool)
-        self._history: List[BatchOutcome] = []
         self._venue_covered = False
         self._grew_tasks: set = set()
 
@@ -152,29 +151,14 @@ class SnapTaskPipeline:
 
     @property
     def maps(self) -> CoverageMaps:
-        if self._maps is None:
+        if self._last is None:
             raise TaskGenerationError("pipeline has not processed any batch yet")
-        return self._maps
+        return self._last.maps
 
     @property
-    def history(self) -> List[BatchOutcome]:
-        return list(self._history)
-
-    @contextmanager
-    def compact_history(self):
-        """Temporarily truncate history to the latest outcome.
-
-        Durability snapshots deep-copy the pipeline; only ``history[-1]``
-        is ever consulted afterwards (the oracle checkpoints), so the
-        checkpoint need not copy every past batch outcome. The full list
-        is restored on exit — the live pipeline is never perturbed.
-        """
-        full = self._history
-        self._history = full[-1:]
-        try:
-            yield self
-        finally:
-            self._history = full
+    def last_outcome(self) -> Optional[BatchOutcome]:
+        """The latest batch's outcome, or ``None`` before the first batch."""
+        return self._last
 
     @property
     def venue_covered(self) -> bool:
@@ -318,8 +302,7 @@ class SnapTaskPipeline:
         self._m_batches.inc()
         self._m_tasks_generated.inc(len(tasks))
         self._coverage_cells = coverage
-        self._maps = maps
-        outcome = BatchOutcome(
+        self._last = BatchOutcome(
             iteration=self._iteration,
             report=report,
             model=model.with_cloud(filtered_cloud),
@@ -333,8 +316,7 @@ class SnapTaskPipeline:
             venue_covered=self._venue_covered,
             map_update=map_update,
         )
-        self._history.append(outcome)
-        return outcome
+        return self._last
 
     def _phase(self, name: str, t0: float, **attrs) -> None:
         """Close one wall-time phase: histogram record + instant span."""

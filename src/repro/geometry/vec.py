@@ -41,6 +41,10 @@ class Vec2:
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 
+    def __deepcopy__(self, memo: dict) -> "Vec2":
+        # Frozen floats: durability snapshots share the value.
+        return self
+
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -116,6 +120,10 @@ class Vec3:
         yield self.x
         yield self.y
         yield self.z
+
+    def __deepcopy__(self, memo: dict) -> "Vec3":
+        # Frozen floats: durability snapshots share the value.
+        return self
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z

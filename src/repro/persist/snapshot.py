@@ -3,21 +3,22 @@
 A checkpoint is one ``copy.deepcopy`` of the backend's ``export_state()``
 dict — a single memo pass, so objects shared inside the live graph (e.g.
 a Task sitting in both the dispatch queue and the store ledger) stay
-shared in the copy. Two kinds of object are shared with the live graph
-instead of copied, through ``__deepcopy__`` hooks that return ``self``:
-values that never change after they are built, and live handles.
+shared in the copy. The image holds current state only: the pipeline
+keeps its last batch outcome, not every past one. Two kinds of object are
+shared with the live graph instead of copied, through ``__deepcopy__``
+hooks that return ``self``: values that never change after they are
+built, and live handles.
 
 * uploaded photos (:class:`~repro.camera.photo.Photo`), recovered
   cameras (:class:`~repro.sfm.model.RecoveredCamera`) and the map
   engine's cached camera wedges (a refresh caches a new entry) — their
   arrays are read-only, so a write through either graph raises,
+* ``Vec2`` and ``Vec3`` values (frozen dataclasses of floats),
 * the venue and feature world (write-once geometry),
 * telemetry instruments and the tracer (live process-lifetime handles,
   see ``obs.metrics`` / ``obs.tracing``).
 
-The columnar SfM store's append arrays memcpy via numpy, and pipeline
-batch history is trimmed to its last entry for the copy's duration
-(``SnapTaskPipeline.compact_history``).
+The columnar SfM store's append arrays memcpy via numpy.
 
 Snapshot cadence is counted in *committed batches* (the unit of real
 state growth), not sim seconds, so an idle backend takes no
@@ -194,8 +195,7 @@ class Snapshotter:
     def checkpoint(self, server, sim_time: float) -> Snapshot:
         """Capture one sealed snapshot of ``server`` at the WAL position."""
         t0 = wall_now_s()
-        with server.pipeline.compact_history():
-            state = copy.deepcopy(server.export_state())
+        state = copy.deepcopy(server.export_state())
         snapshot = Snapshot(
             seq=self._next_seq,
             sim_time=sim_time,

@@ -9,7 +9,7 @@ from .messages import (
     TaskAssignment,
     TaskRequest,
 )
-from .storage import BackendStore, Lease, MapSnapshot
+from .storage import BackendStore, Lease
 
 __all__ = [
     "BackendServer",
@@ -19,7 +19,6 @@ __all__ = [
     "Deployment",
     "DeploymentReport",
     "Lease",
-    "MapSnapshot",
     "MobileClient",
     "PROCESSING_S_PER_PHOTO",
     "PhotoBatch",

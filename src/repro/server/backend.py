@@ -2,8 +2,8 @@
 
 Wraps a :class:`SnapTaskPipeline` behind the message protocol: it hands
 out tasks from its queue, processes uploaded photo batches with
-Algorithm 1 as they arrive, stores map snapshots, and answers
-localization queries against the current model.
+Algorithm 1 as they arrive, and answers localization queries against
+the current model. The pipeline holds the current model and maps.
 
 Fault tolerance (this layer's contract with unreliable clients):
 
@@ -977,7 +977,6 @@ class BackendServer:
                 self._store.bump("annotations_collected", processed.n_annotations)
                 self._store.bump("surfaces_identified", len(processed.objects))
         outcome = self._pipeline.process_batch(photos, task)
-        self._store.save_maps(outcome.iteration, outcome.coverage_cells, outcome.maps)
         self._store.bump("photos_processed", len(batch.photos))
         if batch.task_id is not None and task is not None:
             if outcome.photos_added:

@@ -27,8 +27,8 @@ the lossless protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..annotation.tool import AnnotationCampaign
 from ..camera.capture import CaptureSimulator
@@ -68,7 +68,6 @@ class ClientStats:
     failed_results: int = 0
     backpressure: int = 0
     dropped_out: bool = False
-    results: List[ProcessingResult] = field(default_factory=list)
 
 
 class MobileClient:
@@ -488,7 +487,6 @@ class MobileClient:
                 self._upload_rto = None
             self._pending_batch = None
             self._end_span("_upload_span", outcome="ok" if result.ok else "failed")
-        self.stats.results.append(result)
         if result.ok:
             self.stats.tasks_completed += 1
         else:

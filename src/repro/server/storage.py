@@ -1,10 +1,13 @@
 """Backend storage: "the model and maps are stored in a database for
 further iterations" (Algorithm 1's output handling).
 
-An in-memory store with the semantics the backend needs: versioned map
-snapshots per venue, task ledger with *leases*, and simple metrics
-counters. The store is deliberately synchronous and single-writer — the
-paper's backend processes one batch at a time.
+An in-memory store with the semantics the backend needs: a task ledger
+with *leases*, the batch archive, and simple metrics counters. The
+current model and maps live in the pipeline (``SnapTaskPipeline.maps``),
+which is the one holder of Algorithm 1's state; only the latest maps are
+ever read, so no past versions are kept. The store is deliberately
+synchronous and single-writer — the paper's backend processes one batch
+at a time.
 
 Leases are the fault-tolerance half of the task ledger: crowd workers
 abandon assigned tasks (arXiv:1901.09264 measures how often), so every
@@ -22,17 +25,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.tasks import Task, TaskStatus
 from ..errors import LeaseError, ProtocolError
-from ..mapping.coverage import CoverageMaps
-
-
-@dataclass(frozen=True)
-class MapSnapshot:
-    """One stored (iteration, maps, coverage) record."""
-
-    version: int
-    iteration: int
-    coverage_cells: int
-    maps: CoverageMaps
 
 
 @dataclass(frozen=True)
@@ -48,11 +40,11 @@ class ArchivedBatch:
     batch_id: str
     task_id: Optional[int]
     photos_added: bool
-    error: Optional[str] = None
+    error: Optional[str]
     #: Simulated time after which the archive may drop this record. The
     #: protocol's duplicate-suppression window is finite, so the archive
-    #: is too — ``inf`` means "keep forever" (legacy callers).
-    keep_until: float = float("inf")
+    #: is too.
+    keep_until: float
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,10 @@ class Lease:
 
 
 class BackendStore:
-    """In-memory database for one venue's models, maps and tasks."""
+    """In-memory database for one venue's tasks and batch archive."""
 
     def __init__(self, venue_id: str):
         self._venue_id = venue_id
-        self._snapshots: List[MapSnapshot] = []
         self._tasks: Dict[int, Task] = {}
         self._assignments: Dict[int, str] = {}  # task id -> client id
         self._leases: Dict[int, Lease] = {}  # task id -> live lease
@@ -84,24 +75,6 @@ class BackendStore:
     @property
     def venue_id(self) -> str:
         return self._venue_id
-
-    # -- map snapshots -----------------------------------------------------------
-
-    def save_maps(self, iteration: int, coverage_cells: int, maps: CoverageMaps) -> MapSnapshot:
-        snapshot = MapSnapshot(
-            version=len(self._snapshots) + 1,
-            iteration=iteration,
-            coverage_cells=coverage_cells,
-            maps=maps,
-        )
-        self._snapshots.append(snapshot)
-        return snapshot
-
-    def latest_maps(self) -> Optional[MapSnapshot]:
-        return self._snapshots[-1] if self._snapshots else None
-
-    def snapshot_history(self) -> List[MapSnapshot]:
-        return list(self._snapshots)
 
     # -- task ledger ----------------------------------------------------------------
 
@@ -230,8 +203,8 @@ class BackendStore:
         batch_id: str,
         task_id: Optional[int],
         photos_added: bool,
-        error: Optional[str] = None,
-        keep_until: float = float("inf"),
+        error: Optional[str],
+        keep_until: float,
     ) -> ArchivedBatch:
         """Persist a processed batch's outcome past its ledger eviction.
 
@@ -249,8 +222,7 @@ class BackendStore:
             keep_until=keep_until,
         )
         self._batch_archive[batch_id] = record
-        if keep_until != float("inf"):
-            self._archive_queue.append((keep_until, batch_id))
+        self._archive_queue.append((keep_until, batch_id))
         return record
 
     def archived_batch(self, batch_id: str) -> Optional[ArchivedBatch]:
@@ -296,9 +268,6 @@ class BackendStore:
             },
             "archive_queue": [
                 [repr(due), bid] for due, bid in self._archive_queue
-            ],
-            "snapshots": [
-                [s.version, s.iteration, s.coverage_cells] for s in self._snapshots
             ],
             "counters": dict(sorted(self._counters.items())),
         }

@@ -506,9 +506,9 @@ class InvariantRegistry:
     def _check_map_oracle(self, token) -> None:
         """Incremental maps must be cell-exact vs Algorithm 2+3 rebuilds."""
         pipeline = self._pipeline
-        if not pipeline.history:
+        outcome = pipeline.last_outcome
+        if outcome is None:
             return
-        outcome = pipeline.history[-1]
         model = outcome.model  # carries the SOR-filtered cloud
         config = pipeline.config
         obstacles = calculate_obstacles_map(
@@ -548,9 +548,9 @@ class InvariantRegistry:
     def _check_sor_oracle(self, token) -> None:
         """Incremental SOR must be bit-identical to the batch oracle."""
         pipeline = self._pipeline
-        if not pipeline.history:
+        outcome = pipeline.last_outcome
+        if outcome is None:
             return
-        outcome = pipeline.history[-1]
         config = pipeline.config.sfm
         raw = pipeline.model().cloud  # the unfiltered incremental model
         oracle = sor_filter(raw, config.sor_neighbors, config.sor_std_ratio)

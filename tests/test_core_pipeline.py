@@ -1,5 +1,7 @@
 """Tests for the SnapTask pipeline (Algorithm 1 control flow)."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.camera import GALAXY_S7, CameraPose
@@ -16,6 +18,24 @@ def pipeline(bench):
 
 def sweep(bench, x, y, blur=0.0):
     return list(bench.capture.sweep(Vec2(x, y), GALAXY_S7, 8.0, blur=blur))
+
+
+@contextmanager
+def recorded_outcomes():
+    """Collect, in order, every ``BatchOutcome`` that a pipeline's
+    ``process_batch`` returns while the context is open (a pipeline keeps
+    only its last one)."""
+    outcomes = []
+    process_batch = SnapTaskPipeline.process_batch
+
+    def recording(self, *args, **kwargs):
+        outcome = process_batch(self, *args, **kwargs)
+        outcomes.append(outcome)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SnapTaskPipeline, "process_batch", recording)
+        yield outcomes
 
 
 class TestAlgorithm1:
@@ -91,11 +111,14 @@ class TestAlgorithm1:
             assert trailing.new_tasks == ()
             assert pipeline.attempts_at(Vec2(3, 3)) == 0
 
-    def test_history_records_outcomes(self, bench, pipeline):
-        pipeline.process_batch(sweep(bench, 3, 3))
-        pipeline.process_batch(sweep(bench, 6, 4))
-        history = pipeline.history
-        assert [o.iteration for o in history] == [1, 2]
+    def test_last_outcome_is_the_latest_batch(self, bench, pipeline):
+        assert pipeline.last_outcome is None
+        first = pipeline.process_batch(sweep(bench, 3, 3))
+        assert pipeline.last_outcome is first
+        second = pipeline.process_batch(sweep(bench, 6, 4))
+        assert pipeline.last_outcome is second
+        assert [first.iteration, second.iteration] == [1, 2]
+        assert pipeline.maps is second.maps
 
     def test_location_key_merges_nearby(self, pipeline):
         key = SnapTaskPipeline._location_key

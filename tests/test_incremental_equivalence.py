@@ -45,6 +45,7 @@ from repro.sfm.pointcloud import CloudPoint
 from repro.sfm.scratch import ScratchSfm
 from repro.simkit import RngStream
 from repro.venue.features import ARTIFICIAL_FEATURE_BASE
+from tests.test_core_pipeline import recorded_outcomes
 
 
 # --------------------------------------------------------------------------
@@ -464,25 +465,27 @@ class TestSeededDeltaSequences:
 
 @pytest.fixture(scope="module")
 def guided_replay():
-    """One full guided campaign (the fig10 procedure) on a fresh bench."""
+    """One full guided campaign (the fig10 procedure) on a fresh bench,
+    with the outcome of every batch it processed."""
     from repro.eval import Workbench
 
     bench = Workbench.for_library()
     pipeline = bench.make_pipeline()
     campaign = bench.make_guided_campaign(pipeline, 10)
-    run = campaign.run(max_tasks=120)
-    return bench, pipeline, run
+    with recorded_outcomes() as outcomes:
+        run = campaign.run(max_tasks=120)
+    return bench, outcomes, run
 
 
 class TestGuidedCampaignEquivalence:
     def test_every_batch_cell_exact(self, guided_replay):
         """The acceptance criterion: incremental == rebuild, every batch."""
-        bench, pipeline, _run = guided_replay
+        bench, outcomes, _run = guided_replay
         threshold = bench.config.tasks.obstacle_threshold
         max_range = bench.config.sfm.visibility_range_m
         site = bench.ground_truth.region_mask
-        assert len(pipeline.history) > 20
-        for outcome in pipeline.history:
+        assert len(outcomes) > 20
+        for outcome in outcomes:
             model = outcome.model  # filtered cloud + recovered cameras
             obstacles, visibility = scratch_maps(model, bench.spec, threshold, max_range)
             np.testing.assert_array_equal(
@@ -502,7 +505,7 @@ class TestGuidedCampaignEquivalence:
 
     def test_cached_wedges_exact_after_every_batch(self, guided_replay):
         """Replayed through a fresh engine, no batch leaves a stale wedge."""
-        bench, pipeline, _run = guided_replay
+        bench, outcomes, _run = guided_replay
         max_range = bench.config.sfm.visibility_range_m
         engine = IncrementalMapEngine(
             bench.spec,
@@ -510,7 +513,7 @@ class TestGuidedCampaignEquivalence:
             max_range_m=max_range,
             site_mask=bench.ground_truth.region_mask,
         )
-        for outcome in pipeline.history:
+        for outcome in outcomes:
             update = engine.update(outcome.model)
             assert update.covered_cells == outcome.coverage_cells
             assert_wedges_exact(engine, max_range)
@@ -518,8 +521,8 @@ class TestGuidedCampaignEquivalence:
     def test_campaign_exercised_the_delta_paths(self, guided_replay):
         """Guard against a vacuous oracle: the campaign must actually hit
         reuse, SOR removal, and annotation/imprint machinery."""
-        _bench, pipeline, run = guided_replay
-        updates = [o.map_update for o in pipeline.history if o.map_update]
+        _bench, outcomes, run = guided_replay
+        updates = [o.map_update for o in outcomes if o.map_update]
         assert updates, "pipeline did not report map updates"
         assert sum(u.cameras_reused for u in updates) > 0
         assert sum(u.points_removed for u in updates) > 0, (
@@ -540,7 +543,7 @@ class TestGuidedCampaignEquivalence:
     def test_write_off_keeps_maps_exact(self, guided_replay):
         """Targeted: drive Algorithm 1 into its `_write_off` branch and
         verify the maps emitted during it still match the oracle."""
-        bench, _pipeline, _run = guided_replay
+        bench, _outcomes, _run = guided_replay
         rng = RngStream(4242, "write-off")
         pipeline = SnapTaskPipeline(
             bench.world,
@@ -579,7 +582,7 @@ class TestGuidedCampaignEquivalence:
         )
         outcome2 = pipeline.process_batch(photos, retry)
         assert pipeline._written_off.any(), "write-off branch did not run"
-        for out in pipeline.history:
+        for out in (outcome, outcome2):
             obstacles, visibility = scratch_maps(
                 out.model,
                 bench.spec,

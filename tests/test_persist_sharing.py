@@ -14,7 +14,10 @@ real deployment state:
 * every ``Photo``, ``RecoveredCamera`` and cached map-engine wedge
   (``_CameraEntry``) reachable from a checkpoint is the live object, with
   read-only arrays, as are the venue, the feature world and the
-  telemetry handles; no ``Task`` is shared;
+  telemetry handles; no ``Task`` is shared, but task locations and the
+  SfM engine's artificial-feature positions (``Vec2``/``Vec3``) are;
+* a checkpoint holds the current state only: the one ``CoverageMaps``
+  it reaches is the last batch outcome's;
 * photos that WAL replay unpickles are read-only too;
 * a restored backend takes its next batch with the same ``MapUpdate``
   counts as the live backend: the map engine keys its cached wedges on
@@ -37,6 +40,7 @@ from repro.camera.photo import Photo
 from repro.config import paper_config
 from repro.core.tasks import Task
 from repro.eval import Workbench
+from repro.mapping import CoverageMaps
 from repro.mapping.incremental import _CameraEntry
 from repro.obs.metrics import Counter
 from repro.obs.tracing import Tracer
@@ -47,6 +51,7 @@ from repro.sfm.model import RecoveredCamera
 from repro.simkit import Simulator
 from repro.testkit import Scenario
 from repro.venue import FeatureWorld, Venue
+from tests.test_core_pipeline import recorded_outcomes
 
 #: Objects the walk records but never descends into.
 _LEAVES = (
@@ -116,21 +121,23 @@ def server():
 
 @pytest.fixture(scope="module")
 def checkpointed(server):
-    """(live state under compaction, checkpoint state) of ``server``."""
+    """(live state, checkpoint state) of ``server``."""
     snapshot = Snapshotter(WriteAheadLog()).checkpoint(server, 4_000.0)
-    with server.pipeline.compact_history():
-        yield server.export_state(), snapshot.state
+    return server.export_state(), snapshot.state
 
 
 @pytest.fixture(scope="module")
 def persisted():
-    """A persisted deployment with a checkpoint after every batch."""
+    """A persisted deployment with a checkpoint after every batch, and the
+    outcome of every batch it processed."""
     scenario = replace(
         Scenario(seed=11, n_clients=1), persist=True, snapshot_every=1, snapshot_retain=2
     )
     deployment = scenario.make_deployment()
-    deployment.run(until_s=scenario.until_s, max_events=scenario.max_events)
-    return deployment
+    with recorded_outcomes() as outcomes:
+        deployment.run(until_s=scenario.until_s, max_events=scenario.max_events)
+    assert [o.iteration for o in outcomes] == list(range(1, len(outcomes) + 1))
+    return deployment, outcomes
 
 
 class TestCheckpointCopy:
@@ -166,6 +173,13 @@ class TestCheckpointCopy:
         assert live["_result_log"] == results
         assert list(live["_gc_queue"]) == gc_queue
         np.testing.assert_array_equal(live["_pipeline"].maps.visibility.data, visibility)
+
+    def test_only_the_last_outcomes_maps_are_held(self, checkpointed):
+        _live, image = checkpointed
+        held = objects(reachable(image, CoverageMaps), CoverageMaps)
+        assert len(held) == 1
+        (maps,) = held.values()
+        assert maps is image["_pipeline"].last_outcome.maps
 
     def test_one_task_in_two_collections_stays_one_task(self, checkpointed):
         live, image = checkpointed
@@ -207,6 +221,22 @@ class TestSharing:
         assert copied
         assert not copied.keys() & objects(reachable(live, Task), Task).keys()
 
+    def test_task_locations_and_artificial_positions_are_the_live_objects(
+        self, checkpointed
+    ):
+        live, image = checkpointed
+        live_tasks = {t.task_id: t for t in objects(reachable(live, Task), Task).values()}
+        image_tasks = objects(reachable(image, Task), Task).values()
+        assert image_tasks
+        for task in image_tasks:
+            assert task.location is live_tasks[task.task_id].location
+        live_positions = live["_pipeline"].sfm._artificial_positions
+        image_positions = image["_pipeline"].sfm._artificial_positions
+        assert image_positions and image_positions is not live_positions
+        assert image_positions.keys() == live_positions.keys()
+        for fid, position in image_positions.items():
+            assert position is live_positions[fid]
+
     def test_cached_wedges_are_the_live_objects(self, checkpointed):
         assert_live_objects(*checkpointed, (_CameraEntry,))
 
@@ -237,12 +267,13 @@ class TestSharing:
 
 class TestRestoredBackend:
     def test_replayed_batches_reuse_the_live_wedges(self, persisted):
+        deployment, outcomes = persisted
         # Restore the oldest retained generation after genesis, so the WAL
         # suffix behind it holds batches to replay.
-        generation = [g for g in persisted.host.snapshotter.generations() if g.seq > 0][-1]
-        restored = RecoveryManager(persisted.host.wal, generation).recover(Simulator()).server
-        live = {o.iteration: o.map_update for o in persisted.server.pipeline.history}
-        replayed = restored.pipeline.history[1:]  # [0] is the snapshot's own
+        generation = [g for g in deployment.host.snapshotter.generations() if g.seq > 0][-1]
+        with recorded_outcomes() as replayed:
+            RecoveryManager(deployment.host.wal, generation).recover(Simulator())
+        live = {o.iteration: o.map_update for o in outcomes}
         assert replayed
         for outcome in replayed:
             expected = live[outcome.iteration]
@@ -252,7 +283,8 @@ class TestRestoredBackend:
         assert replayed[0].map_update.cameras_reused > 0
 
     def test_photos_replayed_from_the_wal_are_read_only(self, persisted):
-        batches = [r for r in persisted.host.wal.records() if isinstance(r, BatchRecord)]
+        deployment, _outcomes = persisted
+        batches = [r for r in deployment.host.wal.records() if isinstance(r, BatchRecord)]
         photos = [photo for r in batches for photo in pickle.loads(r.photos_blob)]
         assert photos
         for photo in photos:

@@ -18,19 +18,6 @@ from repro.simkit import Simulator
 
 
 class TestBackendStore:
-    def test_snapshot_versions(self, bench):
-        store = BackendStore("venue")
-        assert store.latest_maps() is None
-        pipeline = bench.make_pipeline()
-        outcome = pipeline.process_batch(
-            list(bench.capture.sweep(Vec2(3, 3), GALAXY_S7, 8.0, blur=0.0))
-        )
-        snap1 = store.save_maps(1, outcome.coverage_cells, outcome.maps)
-        snap2 = store.save_maps(2, outcome.coverage_cells, outcome.maps)
-        assert snap1.version == 1 and snap2.version == 2
-        assert store.latest_maps() is snap2
-        assert len(store.snapshot_history()) == 2
-
     def test_task_ledger(self):
         store = BackendStore("venue")
         task = TaskFactory().photo_task(Vec2(1, 1), 1)
