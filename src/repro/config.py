@@ -341,17 +341,6 @@ class ProtocolConfig:
     #: but synchronises idle clients into a polling herd; any positive
     #: value decorrelates them deterministically (per-client RNG stream).
     poll_jitter_s: float = 0.0
-    #: How long the dedup ledgers keep an entry after its owning task
-    #: reaches a terminal state. Old entries are archived to the store
-    #: (late duplicates still re-ACK safely) and evicted, bounding ledger
-    #: memory over a long campaign.
-    ledger_retention_s: float = 600.0
-    #: How long an archived batch outcome survives *after* its ledger
-    #: eviction before the archive GC drops it. The total duplicate-safe
-    #: horizon for a batch id is therefore ``ledger_retention_s +
-    #: archive_retention_s`` past task completion — far beyond the
-    #: retransmission machinery's maximum backoff.
-    archive_retention_s: float = 1800.0
 
     def timeout_for(self, attempt: int, floor_s: float = 0.0) -> float:
         """Retransmission timeout for the ``attempt``-th send (0-based).
@@ -377,10 +366,6 @@ class ProtocolConfig:
             raise ConfigError("poll_interval_s must be positive")
         if self.poll_jitter_s < 0:
             raise ConfigError("poll_jitter_s cannot be negative")
-        if self.ledger_retention_s <= 0:
-            raise ConfigError("ledger_retention_s must be positive")
-        if self.archive_retention_s <= 0:
-            raise ConfigError("archive_retention_s must be positive")
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,11 @@ def structural_size(state: Dict[str, object]) -> int:
     """Deterministic entry-count proxy for a snapshot's size.
 
     Counts the growing collections of the state graph (tasks, results,
-    ledgers, GC queue, archive, service order). Sim-deterministic, so it
+    ledgers, GC queue, service order). Sim-deterministic, so it
     may feed a digested histogram — byte sizes would depend on host
     pointer widths and allocator behaviour.
     """
-    store = state["_store"]
-    size = store.recorded_task_count() + store.archived_batch_count()
+    size = state["_store"].recorded_task_count()
     size += len(state["_task_queue"])
     size += len(state["_result_log"])
     size += len(state["_request_ledger"]) + len(state["_batch_ledger"])

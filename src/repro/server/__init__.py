@@ -1,6 +1,6 @@
 """Client/server deployment layer over the discrete-event simulator."""
 
-from .backend import PROCESSING_S_PER_PHOTO, BackendServer
+from .backend import LEDGER_RETENTION_S, PROCESSING_S_PER_PHOTO, BackendServer
 from .client import CAPTURE_INTERVAL_S, ClientStats, MobileClient
 from .deployment import Deployment, DeploymentReport
 from .messages import (
@@ -18,6 +18,7 @@ __all__ = [
     "ClientStats",
     "Deployment",
     "DeploymentReport",
+    "LEDGER_RETENTION_S",
     "Lease",
     "MobileClient",
     "PROCESSING_S_PER_PHOTO",

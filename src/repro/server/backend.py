@@ -26,10 +26,10 @@ Fault tolerance (this layer's contract with unreliable clients):
   service time). A bounded queue sheds overflow with a ``retry_after_s``
   hint instead of queueing without limit; ``sfm_workers=None`` keeps the
   legacy infinite-server model byte-for-byte.
-* **Bounded ledgers** — dedup entries are evicted a retention window
-  after their owning task turns terminal; evicted batch outcomes are
-  archived in the store so late duplicates still re-ACK safely (the
-  archive itself is GC'd ``archive_retention_s`` after eviction).
+* **Bounded ledgers** — dedup entries are evicted ``LEDGER_RETENTION_S``
+  after their owning task turns terminal. Inside that window every
+  duplicate is answered from the ledger with the recorded result; the
+  window outlasts the clients' longest retransmission span.
 * **Durability hooks** — when a :mod:`repro.persist` log is attached,
   every state-mutating handler outcome is appended to the WAL at its
   commit point, and :meth:`replay_record` re-applies records during
@@ -68,6 +68,13 @@ from .storage import BackendStore
 #: Simulated server-side processing time per uploaded photo (SfM is the
 #: paper's acknowledged bottleneck, Sec. II-A).
 PROCESSING_S_PER_PHOTO = 0.35
+
+#: How long the dedup ledgers keep an entry after its owning task turns
+#: terminal (simulated seconds). A duplicate request or batch arriving
+#: inside the window is answered with the recorded reply. The window is
+#: about three times the clients' longest retransmission span (~786 s
+#: for a 45-photo upload under the default ``ProtocolConfig``).
+LEDGER_RETENTION_S = 2400.0
 
 #: Backend state captured by durability snapshots (deep-copied as one
 #: graph so shared objects — e.g. Task instances living in both the
@@ -192,7 +199,6 @@ class BackendServer:
         )
         self._g_sfm_queue = metrics.gauge("repro.server.sfm_queue_depth")
         self._g_sfm_busy = metrics.gauge("repro.server.sfm_busy_workers")
-        self._g_archive = metrics.gauge("repro.server.batch_archive_entries")
         #: task_id -> open lease span (request -> upload ACK / expiry).
         self._lease_spans: Dict[int, object] = {}
 
@@ -494,9 +500,7 @@ class BackendServer:
             self._rids_by_task.setdefault(assignment.task.task_id, []).append(rid)
         else:
             # No task owns this exchange; retention alone bounds it.
-            self._gc_queue.append(
-                (self._now() + self._protocol.ledger_retention_s, (rid,), ())
-            )
+            self._gc_queue.append((self._now() + LEDGER_RETENTION_S, (rid,), ()))
         return assignment
 
     def _next_assignment(self, request: TaskRequest) -> TaskAssignment:
@@ -571,8 +575,9 @@ class BackendServer:
         the server would push back to the client. Batches are idempotent
         on their ``batch_id``: duplicates of an in-flight batch are
         dropped, duplicates of a finished batch are re-ACKed from the
-        ledger (or, after ledger eviction, from the store archive) — the
-        pipeline never processes the same batch twice.
+        ledger with the recorded result for ``LEDGER_RETENTION_S`` after
+        its task turns terminal — the pipeline never processes the same
+        batch twice.
 
         With a bounded :class:`~repro.config.BackendConfig` pool the
         batch is admitted to the FIFO processing lane; when every worker
@@ -591,26 +596,6 @@ class BackendServer:
             prior = self._batch_ledger[bid]
             if prior is not None and on_done is not None:
                 on_done(prior)  # replay the lost/raced ACK
-            return
-        archived = self._store.archived_batch(bid)
-        if archived is not None:
-            # The ledger entry was already evicted; answer the late
-            # duplicate from the archive instead of reprocessing.
-            self._store.bump("batches_deduped")
-            self._store.bump("late_duplicates_reacked")
-            self._m_batches_deduped.inc()
-            if on_done is not None:
-                on_done(
-                    ProcessingResult(
-                        client_id=batch.client_id,
-                        task_id=archived.task_id,
-                        photos_added=archived.photos_added,
-                        coverage_cells=self._pipeline.coverage_cells,
-                        venue_covered=self._pipeline.venue_covered,
-                        batch_id=bid,
-                        error=archived.error,
-                    )
-                )
             return
         if not batch.photos:
             # A remote client's malformed upload must not crash the event
@@ -730,7 +715,7 @@ class BackendServer:
         )
 
     def _finish_service(
-        self, entry: tuple, end: float, wait: float = 0.0, service_s: float = 0.0
+        self, entry: tuple, end: float, wait: float, service_s: float
     ) -> None:
         if self._fenced:
             return  # stale completion from before a crash
@@ -799,44 +784,28 @@ class BackendServer:
     def _gc_ledgers(self) -> None:
         """Evict due ledger entries (inline sweep; schedules nothing).
 
-        Entries become due ``ledger_retention_s`` after their owning task
-        turned terminal. Batch outcomes are archived to the store first,
-        so a duplicate arriving after eviction still re-ACKs safely; the
-        archive itself is dropped ``archive_retention_s`` later (same
-        inline sweep), so archive memory is bounded too.
+        Entries become due ``LEDGER_RETENTION_S`` after their owning task
+        turned terminal (or after they were recorded, for an exchange no
+        task owns). Until then a duplicate is answered from the ledger;
+        after it, the entry and its memory are gone.
         """
         now = self._now()
         queue = self._gc_queue
-        keep_until = now + self._protocol.archive_retention_s
         while queue and queue[0][0] <= now:
             _, rids, bids = queue.popleft()
             for rid in rids:
                 if self._request_ledger.pop(rid, None) is not None:
                     self._store.bump("ledger_evictions")
             for bid in bids:
-                result = self._batch_ledger.get(bid)
-                if result is None:
+                if self._batch_ledger.get(bid) is None:
                     continue  # in flight again or already gone; keep safe
-                self._store.archive_batch(
-                    bid,
-                    result.task_id,
-                    result.photos_added,
-                    result.error,
-                    keep_until=keep_until,
-                )
                 del self._batch_ledger[bid]
                 self._store.bump("ledger_evictions")
-        dropped = self._store.gc_archive(now)
-        if dropped:
-            self._store.bump("archive_evictions", dropped)
-        self._g_archive.set(self._store.archived_batch_count())
 
     def _note_ledgered(self, bid: str, task_id: Optional[int]) -> None:
         """Attach a ledgered batch id to its owning task for later GC."""
         if task_id is None:
-            self._gc_queue.append(
-                (self._now() + self._protocol.ledger_retention_s, (), (bid,))
-            )
+            self._gc_queue.append((self._now() + LEDGER_RETENTION_S, (), (bid,)))
         else:
             self._bids_by_task.setdefault(task_id, []).append(bid)
 
@@ -856,9 +825,7 @@ class BackendServer:
         bids = tuple(self._bids_by_task.pop(task_id, ()))
         if not rids and not bids:
             return
-        self._gc_queue.append(
-            (self._now() + self._protocol.ledger_retention_s, rids, bids)
-        )
+        self._gc_queue.append((self._now() + LEDGER_RETENTION_S, rids, bids))
 
     # -- lease reaper ------------------------------------------------------------------
 
@@ -936,12 +903,11 @@ class BackendServer:
         self,
         batch: PhotoBatch,
         on_done: Optional[Callable[[ProcessingResult], None]],
-        arrived_at: Optional[float] = None,
+        arrived_at: float,
         lane: Optional[Tuple[int, float, float]] = None,
     ) -> None:
         if self._fenced:
             return  # stale completion from before a crash
-        t0 = arrived_at if arrived_at is not None else self._now()
         if batch.task_id is not None:
             live = self._inflight_batches.get(batch.task_id, 0) - 1
             if live > 0:
@@ -955,7 +921,7 @@ class BackendServer:
             photos=len(batch.photos),
             batch_id=batch.batch_id,
         )
-        span.start_sim_s = t0  # covers queueing + simulated SfM time
+        span.start_sim_s = arrived_at  # covers queueing + simulated SfM time
         task = self._store.maybe_task(batch.task_id) if batch.task_id is not None else None
         photos = list(batch.photos)
         if (
@@ -1012,8 +978,10 @@ class BackendServer:
             # before the ACK leaves. A crash before this line loses the
             # batch entirely (client retransmits); a crash after it loses
             # nothing.
-            self._persist.log_batch(batch, arrived_at=t0, done_t=self._now(), lane=lane)
-        self._h_process.record(self._now() - t0)
+            self._persist.log_batch(
+                batch, arrived_at=arrived_at, done_t=self._now(), lane=lane
+            )
+        self._h_process.record(self._now() - arrived_at)
         span.end(
             photos_added=outcome.photos_added,
             coverage_cells=outcome.coverage_cells,

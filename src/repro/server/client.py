@@ -403,7 +403,7 @@ class MobileClient:
         """Uplink delivery of a photo batch (lost if the backend is down).
 
         The upload RTO retransmits; the recovered backend's dedup ledger
-        (or batch archive) keeps the retries idempotent.
+        keeps the retries idempotent.
         """
         try:
             self._server.handle_photo_batch(msg, self._on_result)

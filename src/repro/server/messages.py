@@ -49,8 +49,8 @@ class TaskAssignment:
 
     client_id: str
     task: Optional[Task]
+    request_id: str
     venue_covered: bool = False
-    request_id: Optional[str] = None
     lease_expires_at: Optional[float] = None
     processing_s_per_photo: Optional[float] = None
     retry_after_s: Optional[float] = None
@@ -93,7 +93,7 @@ class ProcessingResult:
     photos_added: bool
     coverage_cells: int
     venue_covered: bool
-    batch_id: Optional[str] = None
+    batch_id: str
     error: Optional[str] = None
     retry_after_s: Optional[float] = None
 

@@ -2,12 +2,14 @@
 further iterations" (Algorithm 1's output handling).
 
 An in-memory store with the semantics the backend needs: a task ledger
-with *leases*, the batch archive, and simple metrics counters. The
-current model and maps live in the pipeline (``SnapTaskPipeline.maps``),
-which is the one holder of Algorithm 1's state; only the latest maps are
-ever read, so no past versions are kept. The store is deliberately
-synchronous and single-writer — the paper's backend processes one batch
-at a time.
+with *leases* and simple metrics counters. The current model and maps
+live in the pipeline (``SnapTaskPipeline.maps``), which is the one
+holder of Algorithm 1's state; only the latest maps are ever read, so
+no past versions are kept. Batch outcomes live in the backend's dedup
+ledger alone (``BackendServer._batch_ledger``, one retention window of
+``LEDGER_RETENTION_S``); the store keeps no batch records. The store is
+deliberately synchronous and single-writer — the paper's backend
+processes one batch at a time.
 
 Leases are the fault-tolerance half of the task ledger: crowd workers
 abandon assigned tasks (arXiv:1901.09264 measures how often), so every
@@ -19,32 +21,11 @@ issued task is ever silently lost.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.tasks import Task, TaskStatus
 from ..errors import LeaseError, ProtocolError
-
-
-@dataclass(frozen=True)
-class ArchivedBatch:
-    """Durable record of one processed batch, kept after ledger eviction.
-
-    The backend's in-memory dedup ledger is bounded (entries are evicted
-    once the owning task is terminal and the retention window passes);
-    the archive is what answers a duplicate that arrives *after*
-    eviction — enough to synthesise a safe re-ACK without reprocessing.
-    """
-
-    batch_id: str
-    task_id: Optional[int]
-    photos_added: bool
-    error: Optional[str]
-    #: Simulated time after which the archive may drop this record. The
-    #: protocol's duplicate-suppression window is finite, so the archive
-    #: is too.
-    keep_until: float
 
 
 @dataclass(frozen=True)
@@ -61,15 +42,13 @@ class Lease:
 
 
 class BackendStore:
-    """In-memory database for one venue's tasks and batch archive."""
+    """In-memory database for one venue's tasks and leases."""
 
     def __init__(self, venue_id: str):
         self._venue_id = venue_id
         self._tasks: Dict[int, Task] = {}
         self._assignments: Dict[int, str] = {}  # task id -> client id
         self._leases: Dict[int, Lease] = {}  # task id -> live lease
-        self._batch_archive: Dict[str, ArchivedBatch] = {}
-        self._archive_queue: Deque[Tuple[float, str]] = deque()
         self._counters: Dict[str, int] = {}
 
     @property
@@ -196,58 +175,6 @@ class BackendStore:
         """Every task the backend ever issued to a client."""
         return len(self._tasks)
 
-    # -- batch archive ---------------------------------------------------------------
-
-    def archive_batch(
-        self,
-        batch_id: str,
-        task_id: Optional[int],
-        photos_added: bool,
-        error: Optional[str],
-        keep_until: float,
-    ) -> ArchivedBatch:
-        """Persist a processed batch's outcome past its ledger eviction.
-
-        The entry is retained until ``keep_until`` (simulated seconds);
-        :meth:`gc_archive` drops due entries. Re-archiving the same
-        ``batch_id`` refreshes the record but *not* its queue slot — the
-        expiry sweep tolerates stale slots by re-checking ``keep_until``
-        on the live record before dropping it.
-        """
-        record = ArchivedBatch(
-            batch_id=batch_id,
-            task_id=task_id,
-            photos_added=photos_added,
-            error=error,
-            keep_until=keep_until,
-        )
-        self._batch_archive[batch_id] = record
-        self._archive_queue.append((keep_until, batch_id))
-        return record
-
-    def archived_batch(self, batch_id: str) -> Optional[ArchivedBatch]:
-        return self._batch_archive.get(batch_id)
-
-    def archived_batch_count(self) -> int:
-        return len(self._batch_archive)
-
-    def gc_archive(self, now: float) -> int:
-        """Drop archived batches whose retention window has passed.
-
-        Archive entries are enqueued in ``keep_until`` order (callers
-        archive with a fixed retention offset from a monotonic clock), so
-        a front-of-queue sweep is O(dropped). Returns the drop count.
-        """
-        dropped = 0
-        while self._archive_queue and self._archive_queue[0][0] <= now:
-            _, batch_id = self._archive_queue.popleft()
-            record = self._batch_archive.get(batch_id)
-            if record is None or record.keep_until > now:
-                continue  # stale queue slot (re-archived later or gone)
-            del self._batch_archive[batch_id]
-            dropped += 1
-        return dropped
-
     # -- digest projection -----------------------------------------------------------
 
     def digest_view(self) -> Dict[str, object]:
@@ -263,12 +190,6 @@ class BackendStore:
                 str(tid): cid for tid, cid in sorted(self._assignments.items())
             },
             "leases": {str(tid): repr(l) for tid, l in sorted(self._leases.items())},
-            "archive": {
-                bid: repr(rec) for bid, rec in sorted(self._batch_archive.items())
-            },
-            "archive_queue": [
-                [repr(due), bid] for due, bid in self._archive_queue
-            ],
             "counters": dict(sorted(self._counters.items())),
         }
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..core.tasks import TaskStatus
 from ..mapping import calculate_obstacles_map, calculate_visibility_map
+from ..server.backend import LEDGER_RETENTION_S
 from ..sfm.filters import sor_filter
 
 
@@ -237,10 +238,11 @@ class InvariantRegistry:
 
         Each distinct ``batch_id`` may produce at most one
         :class:`ProcessingResult`, and once a result exists the dedup
-        ledger must keep answering with it — a ledger entry that
-        *reopens* (goes back to in-flight after completing) is the
-        precursor of a double-apply and is flagged at the event where it
-        happens, before the second application can corrupt the model.
+        ledger must keep answering with it for ``LEDGER_RETENTION_S`` —
+        a ledger entry that *reopens* (goes back to in-flight after
+        completing) or vanishes inside that window is the precursor of a
+        double-apply and is flagged at the event where it happens, before
+        the second application can corrupt the model.
 
         Returns the number of newly processed (non-deduped) batches, so
         the registry can pace its oracle checkpoints.
@@ -250,8 +252,6 @@ class InvariantRegistry:
         for offset, result in enumerate(fresh):
             index = self._seen_results + offset
             bid = result.batch_id
-            if bid is None:
-                continue
             if bid in self._seen_batch_ids:
                 self._fail(
                     token,
@@ -261,8 +261,6 @@ class InvariantRegistry:
                 )
             self._seen_batch_ids[bid] = (index, self._sim.now)
         self._seen_results = len(results)
-        store = self._server.store
-        retention = self._server.protocol.archive_retention_s
         for bid, (_index, seen_t) in self._seen_batch_ids.items():
             if self._server.ledger_contains(bid):
                 if self._server.ledger_entry(bid) is None:
@@ -272,22 +270,18 @@ class InvariantRegistry:
                         f"ledger entry for completed batch {bid!r} reopened "
                         f"(dedup bypassed; replay would double-apply)",
                     )
-            elif store.archived_batch(bid) is None:
-                # Eviction is legal only through the GC path, which
-                # archives the outcome first; the archive itself expires
-                # ``archive_retention_s`` after eviction (eviction never
-                # precedes completion, so ``seen_t + retention`` bounds
-                # the earliest legal disappearance from below). Inside
-                # that horizon a vanished entry means dedup protection
-                # is simply gone.
-                if self._sim.now < seen_t + retention:
-                    self._fail(
-                        token,
-                        "ledger-idempotency",
-                        f"ledger entry for completed batch {bid!r} vanished "
-                        f"without an archive record inside the retention "
-                        f"horizon (replay would double-apply)",
-                    )
+            elif self._sim.now < seen_t + LEDGER_RETENTION_S:
+                # The GC evicts an entry ``LEDGER_RETENTION_S`` after its
+                # task turns terminal, which is never before the result
+                # was first seen; inside that window a vanished entry
+                # means dedup protection is simply gone.
+                self._fail(
+                    token,
+                    "ledger-idempotency",
+                    f"ledger entry for completed batch {bid!r} vanished "
+                    f"inside the retention window (replay would "
+                    f"double-apply)",
+                )
         return len(fresh)
 
     def _check_admission_bound(self, token) -> None:
@@ -481,7 +475,6 @@ class InvariantRegistry:
         """Re-anchor incremental cursors after a data-loss rollback."""
         server = self._server
         pipeline = self._pipeline
-        store = server.store
         results = server.results
         self._seen_results = len(results)
         # Keep tracking only batches whose dedup protection still exists;
@@ -490,7 +483,7 @@ class InvariantRegistry:
         self._seen_batch_ids = {
             bid: seen
             for bid, seen in self._seen_batch_ids.items()
-            if server.ledger_contains(bid) or store.archived_batch(bid) is not None
+            if server.ledger_contains(bid)
         }
         self._last_raw_points = len(pipeline.model().cloud)
         self._last_iteration = pipeline.iteration

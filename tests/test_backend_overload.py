@@ -7,9 +7,12 @@ Covers the backend-overload contract points:
 2. admission control — a full pool with a full queue sheds the upload
    with a ``retry_after_s`` hint the client honors via its existing
    backoff machinery, and the campaign still converges;
-3. bounded ledgers — dedup entries are evicted a retention window after
-   their task turns terminal; late duplicates re-ACK from the store
-   archive without reprocessing;
+3. bounded ledgers — dedup entries are evicted ``LEDGER_RETENTION_S``
+   after their task turns terminal; a duplicate inside that window is
+   re-ACKed from the ledger with the recorded result, without
+   reprocessing, and the window outlasts the longest retransmission
+   span; the ``ledger-idempotency`` invariant flags an entry that
+   vanishes inside it;
 4. poll-herd decorrelation — idle re-polls jitter deterministically when
    configured, and the zero-jitter trace is unchanged (the byte-for-byte
    differential in ``test_fault_tolerance.py`` pins the default path);
@@ -21,15 +24,23 @@ Covers the backend-overload contract points:
 
 import pathlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.camera import GALAXY_S7
-from repro.config import BackendConfig, ConfigError, ProtocolConfig, paper_config
+from repro.config import (
+    BackendConfig,
+    ConfigError,
+    NetworkConfig,
+    ProtocolConfig,
+    paper_config,
+)
 from repro.core import TaskFactory
 from repro.eval import Workbench
 from repro.geometry import Vec2
 from repro.server import (
+    LEDGER_RETENTION_S,
     PROCESSING_S_PER_PHOTO,
     BackendServer,
     Deployment,
@@ -37,13 +48,19 @@ from repro.server import (
     TaskRequest,
 )
 from repro.simkit import Simulator
-from repro.testkit import MUTATIONS, overload_probe, run_scenario
+from repro.testkit import (
+    MUTATIONS,
+    InvariantRegistry,
+    InvariantViolationError,
+    overload_probe,
+    run_scenario,
+)
 
 
-def make_server(bench, protocol=None, backend=None):
+def make_server(bench, backend=None):
     sim = Simulator()
     pipeline = bench.make_pipeline()
-    server = BackendServer(pipeline, sim, "venue", protocol=protocol, backend=backend)
+    server = BackendServer(pipeline, sim, "venue", backend=backend)
     return sim, pipeline, server
 
 
@@ -81,8 +98,6 @@ class TestBackendConfig:
             replace(ProtocolConfig(), poll_interval_s=0.0).validate()
         with pytest.raises(ConfigError):
             replace(ProtocolConfig(), poll_jitter_s=-1.0).validate()
-        with pytest.raises(ConfigError):
-            replace(ProtocolConfig(), ledger_retention_s=0.0).validate()
 
     def test_with_backend_helper(self):
         config = paper_config().with_backend(sfm_workers=2, queue_limit=4)
@@ -235,7 +250,7 @@ class TestAdmissionControl:
         assert report.tasks_completed > 0
         # Every shed batch was eventually processed exactly once: one
         # pipeline result per distinct batch id.
-        batch_ids = [r.batch_id for r in deployment.server.results if r.batch_id]
+        batch_ids = [r.batch_id for r in deployment.server.results]
         assert len(batch_ids) == len(set(batch_ids))
 
     def test_unbounded_queue_waits_instead_of_shedding(self):
@@ -252,9 +267,10 @@ class TestAdmissionControl:
 
 
 class TestLedgerEviction:
-    def make_completed_task(self, bench, retention_s=50.0):
-        protocol = replace(ProtocolConfig(), ledger_retention_s=retention_s)
-        sim, pipeline, server = make_server(bench, protocol=protocol)
+    def make_completed_task(self, bench, registry=None):
+        sim, _pipeline, server = make_server(bench)
+        if registry is not None:
+            registry.attach(SimpleNamespace(server=server, simulator=sim))
         server.enqueue_task(TaskFactory().photo_task(Vec2(3, 3), 1))
         assignment = server.handle_task_request(TaskRequest("c0", request_id="c0:r1"))
         task_id = assignment.task.task_id
@@ -265,47 +281,88 @@ class TestLedgerEviction:
         assert server.store.task(task_id).status.value == "completed"
         return sim, server, task_id
 
-    def advance(self, sim, delay):
-        sim.schedule(delay, lambda: None, label="advance")
+    def advance(self, sim, delay, action=lambda: None):
+        sim.schedule(delay, action, label="advance")
         sim.run()
 
     def test_ledgers_evict_after_retention(self, bench):
         sim, server, _task_id = self.make_completed_task(bench)
         assert server.ledger_contains("c0:b1")
         assert server.request_ledger_size == 1
-        self.advance(sim, 100.0)  # past the 50 s retention window
+        self.advance(sim, LEDGER_RETENTION_S + 1.0)  # past the window
         # GC is an inline sweep at handler entry, not an event.
         server.handle_task_request(TaskRequest("c0", request_id="c0:r2"))
         assert not server.ledger_contains("c0:b1")
         assert server.request_ledger_size == 1  # only the fresh r2
         assert server.store.counter("ledger_evictions") == 2
-        assert server.store.archived_batch_count() == 1
 
-    def test_post_eviction_duplicate_reacks_from_archive(self, bench):
+    def test_late_duplicate_reacks_recorded_result_from_ledger(self, bench):
         sim, server, task_id = self.make_completed_task(bench)
-        self.advance(sim, 100.0)
+        recorded = server.ledger_entry("c0:b1")
         processed_before = server.store.counter("photos_processed")
+        self.advance(sim, 1000.0)  # past 600 s, inside the retention window
         acks = []
         server.handle_photo_batch(
             PhotoBatch("c0", task_id, sweep_at(bench, 3, 3), batch_id="c0:b1"),
             on_done=acks.append,
         )
         sim.run()
-        # Answered synchronously from the archive: same verdict, no
-        # reprocessing, no new ledger entry, task untouched.
-        assert len(acks) == 1
-        assert acks[0].ok and acks[0].task_id == task_id
+        # Answered synchronously from the ledger with the recorded result:
+        # no reprocessing, no new result, task untouched.
+        assert len(acks) == 1 and acks[0] is recorded
+        assert server.ledger_contains("c0:b1")
         assert server.store.counter("photos_processed") == processed_before
-        assert server.store.counter("late_duplicates_reacked") == 1
-        assert not server.ledger_contains("c0:b1")
+        assert server.store.counter("batches_deduped") == 1
+        assert len(server.results) == 1
         assert server.store.task(task_id).status.value == "completed"
 
     def test_retention_keeps_entries_alive(self, bench):
-        sim, server, _task_id = self.make_completed_task(bench, retention_s=10_000.0)
-        self.advance(sim, 100.0)
-        server.handle_task_request(TaskRequest("c0", request_id="c0:r2"))
+        sim, server, task_id = self.make_completed_task(bench)
+        self.advance(sim, LEDGER_RETENTION_S - 1.0)  # just inside the window
+        # A duplicate request is still deduped, not granted a new task.
+        again = server.handle_task_request(TaskRequest("c0", request_id="c0:r1"))
+        assert again.task.task_id == task_id
+        assert server.store.counter("requests_deduped") == 1
         assert server.ledger_contains("c0:b1")
-        assert server.store.archived_batch_count() == 0
+        assert server.store.counter("ledger_evictions") == 0
+
+    def test_window_outlasts_longest_retransmission_span(self):
+        # The upload RTO floor for a 45-photo sub-batch: transfer time
+        # plus the server's per-photo service estimate.
+        protocol, network = ProtocolConfig(), NetworkConfig()
+        photos = paper_config().tasks.upload_subbatch
+        transfer = photos * network.photo_size_mb * 8.0 / network.bandwidth_mbps
+        floor = transfer + PROCESSING_S_PER_PHOTO * photos
+        assert floor == pytest.approx(60.75)
+        # The last of max_retries retransmissions leaves this long after
+        # the first send (backoff capped at rto_max_s).
+        last_copy = sum(
+            protocol.timeout_for(attempt, floor_s=floor)
+            for attempt in range(protocol.max_retries)
+        )
+        assert last_copy == pytest.approx(786.0)
+        assert last_copy + floor > 600.0  # a 600 s window would not cover it
+        assert LEDGER_RETENTION_S == 2400.0
+        assert LEDGER_RETENTION_S > last_copy + floor
+
+    def test_invariant_flags_entry_vanishing_inside_window(self, bench):
+        registry = InvariantRegistry(oracle_checks=False)
+        sim, server, _task_id = self.make_completed_task(bench, registry)
+        with pytest.raises(InvariantViolationError, match="vanished"):
+            self.advance(
+                sim, 1000.0, lambda: server._batch_ledger.pop("c0:b1", None)
+            )
+        assert registry.violations[0].invariant == "ledger-idempotency"
+
+    def test_invariant_allows_eviction_after_window(self, bench):
+        registry = InvariantRegistry(oracle_checks=False)
+        sim, server, _task_id = self.make_completed_task(bench, registry)
+        poll = TaskRequest("c0", request_id="c0:r2")
+        self.advance(
+            sim, LEDGER_RETENTION_S + 1.0, lambda: server.handle_task_request(poll)
+        )
+        assert not server.ledger_contains("c0:b1")
+        assert registry.violations == []
 
 
 class TestPollJitter:

@@ -374,7 +374,7 @@ class TestFaultCampaign:
 
         # No photo batch was double-processed: one pipeline result per
         # distinct batch id, duplicates answered from the ledger.
-        batch_ids = [r.batch_id for r in deployment.server.results if r.batch_id]
+        batch_ids = [r.batch_id for r in deployment.server.results]
         assert len(batch_ids) == len(set(batch_ids))
 
     def test_fault_runs_are_deterministic(self):
