@@ -54,6 +54,26 @@ MAX_OBSERVATIONS_PER_PHOTO = 2400
 PIXEL_NOISE_STD = 1.2
 
 
+def ray_directions(yaws: Sequence[float], half_fov: float, n_rays: int) -> List[Tuple[float, float]]:
+    """``n_rays`` unit directions spread evenly over each yaw's field of
+    view, yaw by yaw.
+
+    Bit-equal to ``Vec2.from_angle(angle).normalized()`` on the same angle
+    expression, from plain floats: ``from_angle`` scales the cosine and
+    sine by 1.0, which is exact, and ``normalized`` divides both by their
+    ``math.hypot``.
+    """
+    cos, sin, hypot = math.cos, math.sin, math.hypot
+    out = []
+    for yaw in yaws:
+        for i in range(n_rays):
+            angle = yaw - half_fov + (2.0 * half_fov) * i / (n_rays - 1)
+            x, y = cos(angle), sin(angle)
+            norm = hypot(x, y)
+            out.append((x / norm, y / norm))
+    return out
+
+
 class _Station:
     """Capture work at one (x, y, height) position that does not depend on yaw.
 
@@ -348,15 +368,8 @@ class CaptureSimulator:
         if strength <= 0 or len(self._glass_soup) == 0:
             return [1.0] * len(poses)
         n_rays = 13
-        half = self._camera.hfov_rad / 2.0
         directions = np.array(
-            [
-                Vec2.from_angle(pose.yaw_rad - half + (2.0 * half) * i / (n_rays - 1))
-                .normalized()
-                .as_tuple()
-                for pose in poses
-                for i in range(n_rays)
-            ]
+            ray_directions([pose.yaw_rad for pose in poses], self._camera.hfov_rad / 2.0, n_rays)
         )
         origin = poses[0].position
         reach = self._sfm.max_feature_range_m

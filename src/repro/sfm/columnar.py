@@ -28,7 +28,7 @@ substrate here is a set of numpy columns, so a batch costs O(delta):
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -76,6 +76,12 @@ class FeatureColumns:
     def index_of(self, fid: int) -> Optional[int]:
         """Dense index of ``fid`` or ``None`` if never interned."""
         return self._index.get(fid)
+
+    @property
+    def index(self) -> Mapping[int, int]:
+        """Feature id -> dense index. It only grows: an interned id keeps
+        its index for good."""
+        return self._index
 
     def intern_many(self, fids: np.ndarray) -> np.ndarray:
         """Dense indices for ``fids``, interning unseen ids in first-seen order.

@@ -9,13 +9,14 @@ visibility map (Algorithm 3) uses to compute each camera's FOV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..camera.intrinsics import Intrinsics
 from ..camera.pose import CameraPose
 from ..errors import ReconstructionError
+from .columnar import ObservationTable
 from .pointcloud import PointCloud
 
 
@@ -53,7 +54,9 @@ class SfmModel:
     """Immutable snapshot of a reconstruction.
 
     Everything it answers derives from its cloud and its cameras, so a
-    hand-built model and one snapshotted from an engine behave alike.
+    hand-built model and one snapshotted from an engine behave alike. An
+    engine's snapshot also reads the engine's observation table, which
+    answers :meth:`cameras_observing` from the queried features' rows.
     """
 
     def __init__(self, cloud: PointCloud, cameras: Sequence[RecoveredCamera]):
@@ -61,11 +64,15 @@ class SfmModel:
         self._cameras: Tuple[RecoveredCamera, ...] = tuple(
             sorted(cameras, key=lambda c: c.photo_id)
         )
-        ids = [c.photo_id for c in self._cameras]
-        if len(set(ids)) != len(ids):
-            raise ReconstructionError("duplicate camera photo ids in model")
-        self._by_id: Dict[int, RecoveredCamera] = {c.photo_id: c for c in self._cameras}
-        # (feature id, photo id) per camera observation, built on first use.
+        # Sorted photo ids, parallel to the cameras: the id -> camera map.
+        self._ids = np.array([c.photo_id for c in self._cameras], dtype=np.int64)
+        self._ids.setflags(write=False)
+        _check_unique(self._ids)
+        # (live observation table, feature id -> dense index) of an
+        # engine's snapshot (see ``grown``), or None.
+        self._rows: Optional[Tuple[ObservationTable, Mapping[int, int]]] = None
+        # (feature id, photo id) per camera observation, built on first use
+        # by a model without observation rows.
         self._observations: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
@@ -85,25 +92,42 @@ class SfmModel:
         return len(self._cameras)
 
     def camera(self, photo_id: int) -> RecoveredCamera:
-        try:
-            return self._by_id[photo_id]
-        except KeyError:
-            raise ReconstructionError(f"photo {photo_id} is not registered") from None
+        at = int(np.searchsorted(self._ids, photo_id))
+        if at < self._ids.shape[0] and self._ids[at] == photo_id:
+            return self._cameras[at]
+        raise ReconstructionError(f"photo {photo_id} is not registered")
 
     def is_registered(self, photo_id: int) -> bool:
-        return photo_id in self._by_id
+        at = int(np.searchsorted(self._ids, photo_id))
+        return at < self._ids.shape[0] and bool(self._ids[at] == photo_id)
 
     def cameras_observing(self, feature_ids: np.ndarray) -> np.ndarray:
         """Sorted photo ids of the cameras that observed any of ``feature_ids``.
 
-        Derived from the cameras' own ``observed_feature_ids`` (a camera
-        without them observed nothing): the first query concatenates them
-        into columns that the model keeps, and each query is one
-        vectorised membership pass over those columns.
+        An engine's snapshot reads the observation table's rows of
+        ``feature_ids`` alone and keeps the observers that are its cameras.
+        The table only gains rows, each photo's when it arrives, and every
+        camera of a snapshot arrived before the snapshot was taken, so a
+        snapshot answers from the live table as it did when taken, with no
+        copy of the rows to keep. A model
+        without observation rows derives the answer from its cameras'
+        own ``observed_feature_ids`` (a camera without them observed
+        nothing): the first query concatenates them into columns that
+        the model keeps, and each query is one vectorised membership pass
+        over those columns.
         """
         wanted = np.asarray(feature_ids, dtype=np.int64)
         if wanted.shape[0] == 0:
             return wanted
+        if self._rows is not None:
+            table, index = self._rows
+            # An id the table never interned maps to -1, which has no rows.
+            dense = np.array([index.get(f, -1) for f in wanted.tolist()], dtype=np.int64)
+            photos = np.unique(table.observers(dense))
+            at = np.searchsorted(self._ids, photos)
+            ours = at < self._ids.shape[0]
+            ours[ours] = self._ids[at[ours]] == photos[ours]
+            return photos[ours]
         if self._observations is None:
             cameras = [c for c in self._cameras if c.observed_feature_ids is not None]
             observed = [np.asarray(c.observed_feature_ids, dtype=np.int64) for c in cameras]
@@ -118,8 +142,45 @@ class SfmModel:
         return np.unique(photos[np.isin(features, wanted, kind="table")])
 
     def with_cloud(self, cloud: PointCloud) -> "SfmModel":
-        """Same cameras, different cloud (e.g. after outlier filtering)."""
-        return SfmModel(cloud, self._cameras)
+        """Same cameras, different cloud (e.g. after outlier filtering).
+
+        The copy shares this model's sorted cameras, id map and
+        observation rows: none of them is written after it is built.
+        """
+        model = SfmModel.__new__(SfmModel)
+        model.__dict__.update(self.__dict__)
+        model._cloud = cloud
+        return model
+
+    def grown(
+        self,
+        cloud: PointCloud,
+        cameras: Sequence[RecoveredCamera],
+        observations: Tuple[ObservationTable, Mapping[int, int]],
+    ) -> "SfmModel":
+        """The next snapshot of a growing reconstruction: ``cloud``, this
+        model's cameras plus the new ``cameras``, and the engine's
+        ``observations`` (its observation table and id -> dense index map).
+
+        Only the new cameras are sorted; each is inserted at its place
+        among the shared, already sorted ones.
+        """
+        model = self.with_cloud(cloud)
+        model._rows = observations
+        if cameras:
+            new = sorted(cameras, key=lambda c: c.photo_id)
+            new_ids = np.array([c.photo_id for c in new], dtype=np.int64)
+            at = np.searchsorted(self._ids, new_ids)
+            merged = list(self._cameras)
+            # From the back, so every earlier position still holds.
+            for i, camera in zip(at[::-1].tolist(), new[::-1]):
+                merged.insert(i, camera)
+            model._cameras = tuple(merged)
+            model._ids = np.insert(self._ids, at, new_ids)
+            model._ids.setflags(write=False)
+            _check_unique(model._ids)
+            model._observations = None
+        return model
 
     def mean_camera_position(self) -> Optional[Tuple[float, float]]:
         """Mean camera floor position — the blue "X" markers of Fig. 9."""
@@ -135,3 +196,8 @@ class SfmModel:
     @staticmethod
     def empty() -> "SfmModel":
         return SfmModel(PointCloud.empty(), [])
+
+
+def _check_unique(sorted_ids: np.ndarray) -> None:
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        raise ReconstructionError("duplicate camera photo ids in model")

@@ -130,6 +130,9 @@ class IncrementalSfm:
         # compat-select) columns, cached by photo id until it registers.
         self._cols = FeatureColumns(self._resolve_features)
         self._photo_cols: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Texture block of each pending photo the rig fallback has seen
+        # (a pure function of the photo), dropped when it registers.
+        self._blocks: Dict[int, Optional[int]] = {}
         # Wavefront state: pending photos whose registration test could
         # have changed since they were last tested.
         self._dirty_pending: Set[int] = set()
@@ -140,6 +143,8 @@ class IncrementalSfm:
         self._registration_log: List[int] = []
         # Per-add_photos camera delta (reset each call).
         self._new_camera_ids: List[int] = []
+        # The last snapshot: the next one shares its sorted cameras.
+        self._snapshot = SfmModel.empty()
 
         n_buckets = self._config.view_compat_buckets
         spread = self._config.view_compat_spread
@@ -245,11 +250,20 @@ class IncrementalSfm:
         """Snapshot of the current reconstruction.
 
         O(delta): the store's frozen sorted columns are shared with the
-        returned cloud (copy-on-write).
+        returned cloud (copy-on-write), the cameras registered since the
+        last snapshot are merged into its sorted ones, and the snapshot
+        answers ``cameras_observing`` from the live observation table.
         """
         ids, xyz, views = self._store.sorted_columns()
         cloud = PointCloud.from_columns(ids, xyz, views)
-        return SfmModel(cloud, list(self._registered.values()))
+        # Cameras register once each, in log order.
+        new = self._registration_log[self._snapshot.n_cameras:]
+        self._snapshot = self._snapshot.grown(
+            cloud,
+            [self._registered[pid] for pid in new],
+            (self._obs, self._cols.index),
+        )
+        return self._snapshot
 
     # -- internals ---------------------------------------------------------------
 
@@ -308,10 +322,12 @@ class IncrementalSfm:
         threshold, even if no single photo clears the solo threshold.
         """
         rigs = defaultdict(list)
-        for photo in self._pending.values():
-            block = self._texture_block(photo)
-            if block is not None:
-                rigs[block].append(photo)
+        blocks = self._blocks
+        for pid, photo in self._pending.items():
+            if pid not in blocks:
+                blocks[pid] = self._texture_block(photo)
+            if blocks[pid] is not None:
+                rigs[blocks[pid]].append(photo)
         registered = 0
         for _block, photos in sorted(rigs.items()):
             if len(photos) < 2:
@@ -452,8 +468,9 @@ class IncrementalSfm:
         self._registration_log.append(pid)
         self._new_camera_ids.append(pid)
         self._add_views(photo)
-        # Only pending photos' columns are read again.
+        # Only pending photos' columns and blocks are read again.
         self._photo_cols.pop(pid, None)
+        self._blocks.pop(pid, None)
 
     def _add_views(self, photo: Photo) -> None:
         """A registered photo's view bits join the model: vectorized mask

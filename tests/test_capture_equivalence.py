@@ -19,6 +19,7 @@ from repro.camera import GALAXY_S7, CameraPose, CaptureSimulator
 from repro.camera import capture as capture_module
 from repro.camera.pose import sweep_poses
 from repro.camera.blur import detection_factor, render_patch, variance_of_laplacian
+from repro.config import paper_config
 from repro.geometry import Polygon, Vec2, Vec3
 from repro.mapping import GridSpec
 from repro.simkit import RngStream
@@ -405,6 +406,46 @@ class TestCaptureEquivalence:
         # Some poses faced glass and some did not.
         assert min(factors) < 1.0
         assert max(factors) == 1.0
+
+
+class TestRayDirections:
+    """The backlight rays come from plain floats, bit-equal to the
+    ``Vec2.from_angle(...).normalized()`` pairs they replaced."""
+
+    YAWS = [0.0, math.pi, -math.pi, math.pi - 1e-9, -math.pi + 1e-9, 3.1, -3.1,
+            2.0 * math.pi, 7.5, -7.5, math.nextafter(math.pi, 0.0)]
+
+    @pytest.mark.parametrize(
+        "hfov_rad",
+        [paper_config().camera.hfov_rad, GALAXY_S7.hfov_rad],
+        ids=["config-camera", "galaxy-s7"],
+    )
+    def test_bit_equal_to_vec2(self, hfov_rad):
+        n_rays = 13
+        half = hfov_rad / 2.0
+        got = capture_module.ray_directions(self.YAWS, half, n_rays)
+        want = [
+            Vec2.from_angle(yaw - half + (2.0 * half) * i / (n_rays - 1)).normalized().as_tuple()
+            for yaw in self.YAWS
+            for i in range(n_rays)
+        ]
+        assert len(got) == len(want) == len(self.YAWS) * n_rays
+        for (gx, gy), (wx, wy) in zip(got, want):
+            assert gx.hex() == wx.hex() and gy.hex() == wy.hex()
+
+    def test_sweeps_across_the_wrap(self, site):
+        sim, _spots = site
+        half = sim._camera.hfov_rad / 2.0
+        # Yaws stepping over +-pi, as a sweep started near pi does.
+        yaws = [math.pi + step * 0.05 for step in range(-12, 13)]
+        yaws += [-y for y in yaws]
+        got = capture_module.ray_directions(yaws, half, 13)
+        want = [
+            Vec2.from_angle(yaw - half + (2.0 * half) * i / 12).normalized().as_tuple()
+            for yaw in yaws
+            for i in range(13)
+        ]
+        assert got == want
 
 
 class TestShotGroups:

@@ -477,6 +477,72 @@ def guided_replay():
     return bench, outcomes, run
 
 
+def camera_derived(model):
+    """The same model without observation rows: its ``cameras_observing``
+    scans the cameras' own observed ids."""
+    return SfmModel(model.cloud, model.cameras)
+
+
+class TestTableBackedObservers:
+    """A pipeline snapshot answers ``cameras_observing`` from the SfM
+    engine's live observation table, reading the queried features' rows
+    alone; the answer must equal the camera-derived one, whenever it is
+    asked, however much the table grew since."""
+
+    def test_every_batch_delta_matches_the_cameras(self, guided_replay):
+        _bench, outcomes, _run = guided_replay
+        applied = np.zeros(0, dtype=np.int64)
+        asked = 0
+        for outcome in outcomes:
+            model = outcome.model
+            assert model._rows is not None  # noqa: SLF001 - table-backed
+            ids = np.asarray(model.cloud.feature_ids, dtype=np.int64)
+            # The engine's diff: new filtered points plus evicted ones.
+            changed = np.setxor1d(applied, ids)
+            applied = ids
+            got = model.cameras_observing(changed)
+            np.testing.assert_array_equal(
+                got,
+                camera_derived(model).cameras_observing(changed),
+                err_msg=f"observers diverged at iteration {outcome.iteration}",
+            )
+            asked += got.shape[0]
+        assert asked > 1000, "vacuous: the deltas reached few cameras"
+
+    def test_earlier_snapshots_answer_as_when_taken(self, guided_replay):
+        _bench, outcomes, _run = guided_replay
+        final = outcomes[-1].model
+        # Every id the campaign ever triangulated, most of them interned
+        # after the early snapshots were taken, plus ids never seen.
+        ids = final.cloud.feature_ids
+        every = np.concatenate([ids, np.array([-5, int(ids.max()) + 1], dtype=np.int64)])
+        early = outcomes[:: max(1, len(outcomes) // 8)]
+        assert early[1].model.n_cameras < final.n_cameras
+        for outcome in early:
+            model = outcome.model
+            np.testing.assert_array_equal(
+                model.cameras_observing(every),
+                camera_derived(model).cameras_observing(every),
+            )
+
+    def test_snapshot_shares_rows_and_cameras(self, bench):
+        engine = IncrementalSfm(bench.world, bench.config.sfm, RngStream(8, "rows"))
+        photos = list(bench.capture.sweep(Vec2(3, 3), GALAXY_S7, 8.0, blur=0.0))
+        engine.add_photos(photos[:20])
+        before = engine.model()
+        filtered = before.with_cloud(before.cloud.subset(np.arange(len(before.cloud)) % 2 == 0))
+        assert filtered.cameras is before.cameras
+        engine.add_photos(photos[20:])
+        after = engine.model()
+        assert after.n_cameras > before.n_cameras
+        assert [c.photo_id for c in after.cameras] == engine.registered_ids()
+        wanted = after.cloud.feature_ids
+        for model in (before, filtered, after):
+            np.testing.assert_array_equal(
+                model.cameras_observing(wanted), camera_derived(model).cameras_observing(wanted)
+            )
+
+
 class TestGuidedCampaignEquivalence:
     def test_every_batch_cell_exact(self, guided_replay):
         """The acceptance criterion: incremental == rebuild, every batch."""

@@ -109,8 +109,8 @@ class TestVoxelGridKnn:
             d = xyz - xyz[row]
             exact = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
             found = set()
-            for point, dist in grid.ring_pairs([row]):
-                assert np.array_equal(dist, exact[point])
+            for _at, _per_row, point, d2 in grid.ring([row]):
+                assert np.array_equal(np.sqrt(d2), exact[point])
                 found.update(point.tolist())
             assert set(np.flatnonzero(exact <= grid.side * filters._SLACK).tolist()) <= found
 

@@ -47,6 +47,7 @@ from repro.obs.tracing import Tracer
 from repro.persist import BatchRecord, RecoveryManager, Snapshotter, WriteAheadLog
 from repro.persist.snapshot import structural_size
 from repro.server import Deployment
+from repro.sfm.filters import VoxelGrid
 from repro.sfm.model import RecoveredCamera
 from repro.simkit import Simulator
 from repro.testkit import Scenario
@@ -247,6 +248,12 @@ class TestSharing:
             for array in read_only_arrays(entry):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = array
+
+    def test_checkpoint_holds_no_sor_grid(self, checkpointed):
+        live, image = checkpointed
+        assert isinstance(live["_pipeline"]._sor._grid, VoxelGrid)  # noqa: SLF001
+        assert not reachable(image, VoxelGrid)
+        assert image["_pipeline"]._sor._built_n == 0  # noqa: SLF001
 
     def test_shared_arrays_are_read_only(self, checkpointed):
         _live, image = checkpointed

@@ -27,6 +27,7 @@ implementations — the :class:`~repro.sfm.scratch.ScratchSfm` oracle and
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -189,6 +190,43 @@ class TestRigRegistrationCount:
         )
 
 
+class TestTextureBlockCache:
+    """The rig fallback reads each pending photo's texture block from a
+    cache that holds until the photo registers."""
+
+    def test_each_pending_photo_is_blocked_once(self, bench, photo_pool, monkeypatch):
+        calls = {}
+        passes = []
+        real_block = IncrementalSfm._texture_block
+        real_rigs = IncrementalSfm._register_rigs
+
+        def counting(self, photo):
+            calls[photo.photo_id] = calls.get(photo.photo_id, 0) + 1
+            return real_block(self, photo)
+
+        def rig_pass(self):
+            passes.append(len(self._pending))
+            return real_rigs(self)
+
+        # The rig is built against a throwaway engine's model.
+        helper = IncrementalSfm(bench.world, bench.config.sfm, RngStream(11, "rig-count"))
+        base = sweep(bench, 3, 3)
+        helper.add_photos(base)
+        rig = TestRigRegistrationCount()._rig_batch(bench, helper, base)
+        # Isolated annex photos stay pending through many rig passes.
+        annex = sweep(bench, 19.2, 15.4)[2:8]
+        batches = [base] + [[p] for p in annex] + [[rig[0]], photo_pool[:12], [rig[1]]]
+        monkeypatch.setattr(IncrementalSfm, "_texture_block", counting)
+        monkeypatch.setattr(IncrementalSfm, "_register_rigs", rig_pass)
+        inc, _scr = assert_engines_identical(bench, batches)
+        assert all(inc.is_registered(p.photo_id) for p in rig)
+        # Photos stayed pending through many rig passes (the scratch
+        # engine's passes are counted too), each blocked once.
+        assert sum(passes) > 2 * len(calls)
+        assert {p.photo_id for p in rig + annex} <= set(calls)
+        assert max(calls.values()) == 1
+
+
 class TestBucketVectorization:
     """The vectorized arctan2/truncation bucket formula must reproduce the
     original scalar loop bit-for-bit on real photos."""
@@ -225,6 +263,39 @@ def _cloud_from_xyz(ids, xyz):
         np.asarray(xyz, dtype=float),
         np.full(len(ids), 3, dtype=int),
     )
+
+
+def reference_sor_counters(clouds, k):
+    """(points_requeried, points_reused, full_recomputes) of an incremental
+    SOR filter fed ``clouds`` (id-sorted, each a position-stable superset
+    of the last), from brute-force distances: the first cloud over k
+    points is computed in full, and each later one re-queries its new
+    points and every old point with a new point within its previous k-th
+    neighbour distance."""
+    requeried = reused = full = 0
+    previous = None
+    for ids, xyz in clouds:
+        n = ids.shape[0]
+        if n <= k:
+            previous = None
+            continue
+        d = xyz[None, :, :] - xyz[:, None, :]
+        dist = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
+        kth = np.sort(dist, axis=1)[:, k]
+        if previous is None:
+            full += 1
+            requeried += n
+        else:
+            old_ids, old_kth = previous
+            old = np.isin(ids, old_ids)
+            old_rows, new_rows = np.flatnonzero(old), np.flatnonzero(~old)
+            radius = old_kth[np.searchsorted(old_ids, ids[old_rows])]
+            hit = (dist[np.ix_(old_rows, new_rows)] <= radius[:, None]).any(axis=1)
+            count = new_rows.shape[0] + int(hit.sum())
+            requeried += count
+            reused += n - count
+        previous = (ids, kth)
+    return requeried, reused, full
 
 
 class TestIncrementalSorEquivalence:
@@ -302,6 +373,99 @@ class TestIncrementalSorEquivalence:
                 state.mask(cloud), sor_mask(xyz[:size], 6, 2.0)
             )
         assert telemetry.metrics.counter("repro.sfm.sor.full_recomputes").value == 1
+
+    @staticmethod
+    def _grow(state, telemetry, ids, xyz, sizes, k):
+        """Reveal the first ``sizes[i]`` points (each cloud id-sorted, so
+        new points land between old ones); every mask must equal
+        ``sor_mask`` and the counters the brute-force reference. Returns
+        the grid's build size after each step."""
+        built = []
+        clouds = []
+        for size in sizes:
+            order = np.argsort(ids[:size], kind="stable")
+            cloud = _cloud_from_xyz(ids[:size][order], xyz[:size][order])
+            clouds.append((cloud.feature_ids, cloud.xyz))
+            np.testing.assert_array_equal(
+                state.mask(cloud), sor_mask(cloud.xyz, k, 2.0), err_msg=f"size {size}"
+            )
+            built.append(state._built_n)  # noqa: SLF001
+        metrics = telemetry.metrics
+        got = tuple(
+            metrics.counter(f"repro.sfm.sor.{name}").value
+            for name in ("points_requeried", "points_reused", "full_recomputes")
+        )
+        assert got == reference_sor_counters(clouds, k)
+        return built
+
+    def test_growth_leaving_the_grid_box_rebuilds_exactly(self):
+        rng = np.random.default_rng(21)
+        inside = rng.uniform(0.0, 1.0, (260, 3))
+        outside = rng.uniform(0.0, 1.0, (40, 3)) + [1.6, 0.0, 0.0]
+        xyz = np.vstack([inside[:200], inside[200:230], outside, inside[230:]])
+        xyz[rng.random(xyz.shape[0]) < 0.05] *= 6.0  # a few outliers
+        ids = rng.permutation(10 * xyz.shape[0])[: xyz.shape[0]]
+        telemetry = Telemetry()
+        state = IncrementalSorFilter(n_neighbors=6, telemetry=telemetry)
+        built = self._grow(state, telemetry, ids, xyz, [200, 230, 270, 300], k=6)
+        # Kept inside the box, rebuilt when the points left it, kept again.
+        assert built == [200, 200, 270, 270]
+
+    def test_growth_past_doubling_rebuilds_exactly(self):
+        rng = np.random.default_rng(22)
+        xyz = rng.normal(0.0, 1.0, (480, 3))
+        # Every later point inside the first cloud's box.
+        lo, hi = xyz[:100].min(axis=0), xyz[:100].max(axis=0)
+        xyz[100:] = lo + (hi - lo) * rng.uniform(0.05, 0.95, (380, 3))
+        ids = rng.permutation(5000)[:480]
+        telemetry = Telemetry()
+        state = IncrementalSorFilter(n_neighbors=5, telemetry=telemetry)
+        built = self._grow(state, telemetry, ids, xyz, [100, 160, 199, 200, 330, 399, 400, 480], k=5)
+        assert built == [100, 100, 100, 200, 200, 200, 400, 400]
+
+    def test_a_copied_filter_rebuilds_its_grid_exactly(self):
+        """Checkpoints leave the grid out; the copy builds a new one on its
+        next call and then answers, and counts, as the original does."""
+        rng = np.random.default_rng(23)
+        xyz = rng.normal(0.0, 1.0, (400, 3))
+        ids = rng.permutation(4000)[:400]
+        clouds = []
+        for size in (150, 190, 230, 260, 330, 400):
+            order = np.argsort(ids[:size], kind="stable")
+            clouds.append(_cloud_from_xyz(ids[:size][order], xyz[:size][order]))
+        telemetry = Telemetry()
+        state = IncrementalSorFilter(n_neighbors=6, telemetry=telemetry)
+        for cloud in clouds[:3]:
+            state.mask(cloud)
+        twin = copy.deepcopy(state)
+        assert state._grid is not None and twin._grid is None  # noqa: SLF001
+        names = ("points_requeried", "points_reused", "full_recomputes")
+        counters = [telemetry.metrics.counter(f"repro.sfm.sor.{n}") for n in names]
+        deltas = []
+        masks = []
+        for filt in (twin, state):
+            before = [c.value for c in counters]
+            masks.append([filt.mask(cloud) for cloud in clouds[3:]])
+            deltas.append([c.value - b for c, b in zip(counters, before)])
+        for got, want, cloud in zip(masks[0], masks[1], clouds[3:]):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, sor_mask(cloud.xyz, 6, 2.0))
+        assert deltas[0] == deltas[1] and deltas[0][2] == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(2, 9))
+    def test_counters_match_the_reference(self, seed, k):
+        """Random growth, outward and inward, with ids landing between old
+        ones: masks exact and every counter the parent's rule gives."""
+        rng = np.random.default_rng(seed)
+        n = 320
+        xyz = rng.normal(0.0, 1.0, (n, 3)) * np.linspace(0.5, 3.0, n)[:, None]
+        ids = rng.permutation(8 * n)[:n]
+        sizes = np.cumsum(rng.integers(5, 60, 12))
+        sizes = [int(x) for x in sizes[sizes <= n]] + [n]
+        telemetry = Telemetry()
+        state = IncrementalSorFilter(n_neighbors=k, telemetry=telemetry)
+        self._grow(state, telemetry, ids, xyz, sizes, k)
 
     def test_filter_function_matches_sor_filter(self):
         rng = np.random.default_rng(9)
